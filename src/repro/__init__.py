@@ -24,10 +24,9 @@ The package provides:
   :class:`~repro.traces.TraceReplayer` /
   :class:`~repro.traces.FleetTraceReplayer` driving dynamic reconfiguration
   and incremental fleet re-placement (:mod:`repro.traces`),
-* the parallel solver-execution subsystem — pluggable ``serial`` /
-  ``thread`` / ``process`` / ``asyncio`` backends fanning independent
-  per-machine solves out while returning the serial answer bit for bit
-  (:mod:`repro.parallel`),
+* the parallel solver-execution subsystem — pluggable backends fanning
+  independent per-machine solves out while returning the serial answer
+  bit for bit (:mod:`repro.parallel`),
 * the serving tier — :class:`~repro.service.AdvisorService` hosting the
   advisor for concurrent callers over one process-wide cost-cache pool,
   awaitable :class:`~repro.service.AsyncAdvisor` /
@@ -56,11 +55,6 @@ Quick start::
 Strategies are pluggable by name — ``Advisor(enumerator="exhaustive")``,
 ``Advisor(cost_function="actual")`` — or by instance; whole scenarios can be
 defined as data via :meth:`repro.api.Scenario.from_dict`.
-
-.. deprecated::
-    :class:`~repro.core.advisor.VirtualizationDesignAdvisor` remains
-    available as a thin shim over :class:`~repro.api.Advisor` for existing
-    code; prefer the unified API above.
 """
 
 from __future__ import annotations
@@ -82,7 +76,6 @@ from .core import (
     Recommendation,
     ResourceAllocation,
     UNLIMITED_DEGRADATION,
-    VirtualizationDesignAdvisor,
     VirtualizationDesignProblem,
     WhatIfCostEstimator,
 )
@@ -99,7 +92,6 @@ from .fleet import (
 from .parallel import (
     BACKENDS,
     AsyncioBackend,
-    ProcessBackend,
     SerialBackend,
     SolverBackend,
     ThreadBackend,
@@ -143,7 +135,6 @@ __all__ = [
     "PhysicalMachine",
     "PostgreSQLEngine",
     "ProblemBuilder",
-    "ProcessBackend",
     "Recommendation",
     "RecommendationReport",
     "ReplayReport",
@@ -155,7 +146,6 @@ __all__ = [
     "ThreadBackend",
     "TraceReplayer",
     "UNLIMITED_DEGRADATION",
-    "VirtualizationDesignAdvisor",
     "VirtualizationDesignProblem",
     "WhatIfCostEstimator",
     "Workload",

@@ -32,10 +32,10 @@ document and writing the corresponding JSON report to stdout (or a file):
 
 The ``fleet`` and ``replay`` subcommands accept ``--backend`` /
 ``--jobs`` to fan independent per-machine solves out on a solver-execution
-backend (``serial`` / ``thread`` / ``process`` / ``asyncio``); every
-backend returns the serial answer, and the emitted report records which
-backend produced it.  Input paths accept ``-`` to read the JSON document
-from stdin, and ``--version`` reports the package version.
+backend (``--help`` lists the registered names); every backend returns
+the serial answer, and the emitted report records which backend produced
+it.  Input paths accept ``-`` to read the JSON document from stdin, and
+``--version`` reports the package version.
 
 Examples::
 

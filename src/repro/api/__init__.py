@@ -20,9 +20,6 @@ around the paper's pipeline (Figure 3) as three layers:
   timing / cost-call statistics, and serializes with ``to_dict`` /
   ``to_json``.
 
-The old entry points (:class:`~repro.core.advisor.VirtualizationDesignAdvisor`)
-remain as thin deprecation shims over this package.
-
 The awaitable faces — :class:`~repro.service.async_api.AsyncAdvisor` and
 :class:`~repro.service.async_api.AsyncFleetAdvisor` — are re-exported
 here lazily (they live in :mod:`repro.service`, one tier up), so

@@ -1,13 +1,11 @@
 """The advisor service object: pluggable strategies over a shared cache.
 
-:class:`Advisor` is the new front door to the paper's pipeline (Figure 3).
-Unlike the original :class:`~repro.core.advisor.VirtualizationDesignAdvisor`
-facade — which hard-wired one greedy enumerator and rebuilt a fresh cost
-estimator on every call — the service accepts each pipeline stage as an
-instance *or* a registered strategy name, and answers repeated what-if
-questions from one shared :class:`~repro.api.cache.CostCache`, so the
-recommend, exhaustive-verification, and refinement phases (and repeated
-runs over re-built problems) never pay for the same optimizer call twice.
+:class:`Advisor` is the front door to the paper's pipeline (Figure 3).
+It accepts each pipeline stage as an instance *or* a registered strategy
+name, and answers repeated what-if questions from one shared
+:class:`~repro.api.cache.CostCache`, so the recommend,
+exhaustive-verification, and refinement phases (and repeated runs over
+re-built problems) never pay for the same optimizer call twice.
 
     from repro.api import Advisor
 
@@ -241,46 +239,6 @@ class Advisor:
             for cache in self._shared_caches.values():
                 cache.clear()
             self._cost_functions.clear()
-
-    def portable_config(self) -> Dict[str, Any]:
-        """The advisor's configuration as a picklable keyword dictionary.
-
-        ``Advisor(**advisor.portable_config())`` builds an equivalent
-        advisor in another process — the contract the process solver
-        backend relies on to rebuild solve state from a task payload.
-        Only registry *names* travel; an advisor configured with strategy
-        instances cannot be shipped and is rejected with a pointer at the
-        thread backend (which shares the instances in-process).
-        """
-        if not isinstance(self._cost_function_spec, str):
-            raise ConfigurationError(
-                "this advisor uses a cost-function instance, which cannot be "
-                "shipped to worker processes; use a registered cost-function "
-                "name, or the thread/serial backend"
-            )
-        if self._cost_function_spec not in COST_FUNCTIONS:
-            raise ConfigurationError(
-                f"this advisor's cost function "
-                f"({self._cost_function_spec!r}) is not a registered strategy "
-                f"name, so it cannot be shipped to worker processes; register "
-                f"it first, or use the thread/serial backend"
-            )
-        if self._enumerator_name not in ENUMERATORS:
-            raise ConfigurationError(
-                f"this advisor's enumerator ({self._enumerator_name}) is not "
-                f"a registered strategy name, so it cannot be shipped to "
-                f"worker processes; use a registered enumerator name, or the "
-                f"thread/serial backend"
-            )
-        return {
-            "enumerator": self._enumerator_name,
-            "cost_function": self._cost_function_spec,
-            "refinement": self._refinement_spec,
-            "delta": self.delta,
-            "min_share": self.min_share,
-            "max_iterations": self.max_iterations,
-            "max_combinations": self.max_combinations,
-        }
 
     def cache_stats(self) -> CostCallStats:
         """Aggregate traffic of the shared cost caches.

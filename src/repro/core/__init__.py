@@ -11,11 +11,11 @@
   cost models fitted from estimates and observations.
 * :mod:`repro.core.refinement` — online refinement (Section 5).
 * :mod:`repro.core.dynamic` — dynamic configuration management (Section 6).
-* :mod:`repro.core.advisor` — the :class:`VirtualizationDesignAdvisor`
-  facade tying everything together.
+* :mod:`repro.core.advisor` — the :class:`Recommendation` result type
+  (:class:`repro.api.Advisor` ties everything together).
 """
 
-from .advisor import Recommendation, VirtualizationDesignAdvisor
+from .advisor import Recommendation
 from .cost_estimator import ActualCostFunction, CostFunction, WhatIfCostEstimator
 from .dynamic import DynamicConfigurationManager, PeriodDecision
 from .enumerator import (

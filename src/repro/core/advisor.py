@@ -1,29 +1,16 @@
-"""The original virtualization design advisor facade (deprecated shim).
+"""The advisor's numeric result type.
 
-.. deprecated::
-    :class:`VirtualizationDesignAdvisor` is kept as a thin compatibility
-    shim over the unified advisor API.  New code should use
-    :class:`repro.api.Advisor`, which accepts pluggable strategies
-    (``enumerator=``, ``cost_function=``, ``refinement=`` as instances or
-    registered names), shares a memoizing cost cache across phases, and
-    returns a structured, serializable
-    :class:`~repro.api.report.RecommendationReport`.
-
-:class:`Recommendation` remains the canonical numeric result type; the new
-API embeds it in its reports.
+:class:`Recommendation` is the canonical numeric answer to one design
+problem; :class:`repro.api.Advisor` produces it and embeds it in its
+:class:`~repro.api.report.RecommendationReport`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from ..monitoring.metrics import improvement_over_default
-from .cost_estimator import ActualCostFunction, CostFunction, WhatIfCostEstimator
-from .dynamic import DynamicConfigurationManager
-from .problem import ResourceAllocation, VirtualizationDesignProblem
-from .refinement import RefinementResult
+from .problem import ResourceAllocation
 
 
 @dataclass(frozen=True)
@@ -54,121 +41,3 @@ class Recommendation:
     def allocation_of(self, tenant_index: int) -> ResourceAllocation:
         """Allocation recommended for one tenant."""
         return self.allocations[tenant_index]
-
-
-class VirtualizationDesignAdvisor:
-    """Deprecated facade over :class:`repro.api.Advisor`.
-
-    Kept so existing callers continue to work unchanged; every method
-    delegates to the unified advisor service and unwraps its report back to
-    the original return types.
-    """
-
-    def __init__(
-        self,
-        delta: float = 0.05,
-        min_share: float = 0.05,
-        max_iterations: int = 500,
-    ) -> None:
-        warnings.warn(
-            "VirtualizationDesignAdvisor is deprecated; use repro.api.Advisor "
-            "(pluggable strategies, shared cost cache, structured reports)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..api.advisor import Advisor  # local import avoids a cycle
-
-        self._advisor = Advisor(
-            delta=delta, min_share=min_share, max_iterations=max_iterations
-        )
-
-    @property
-    def enumerator(self):
-        """The enumeration strategy (assignable, as on the old facade)."""
-        return self._advisor.enumerator
-
-    @enumerator.setter
-    def enumerator(self, value) -> None:
-        self._advisor.enumerator = value
-
-    # ------------------------------------------------------------------
-    # Static recommendation (Section 4)
-    # ------------------------------------------------------------------
-    # The old facade built a fresh what-if estimator per call, so repeated
-    # calls reported a stable, non-zero ``cost_calls``.  The shim preserves
-    # that by bypassing the new advisor's shared cache with explicit
-    # per-call cost functions; callers wanting the cache should move to
-    # :class:`repro.api.Advisor`.
-    def recommend(
-        self,
-        problem: VirtualizationDesignProblem,
-        cost_function: Optional[CostFunction] = None,
-    ) -> Recommendation:
-        """Produce the initial, static recommendation for a problem."""
-        cost_function = cost_function or WhatIfCostEstimator(problem)
-        return self._advisor.recommend(
-            problem, cost_function=cost_function
-        ).recommendation
-
-    def recommend_exhaustive(
-        self,
-        problem: VirtualizationDesignProblem,
-        cost_function: Optional[CostFunction] = None,
-        delta: Optional[float] = None,
-        max_combinations: int = 2_000_000,
-    ) -> Recommendation:
-        """Find the best allocation by exhaustive grid search."""
-        cost_function = cost_function or WhatIfCostEstimator(problem)
-        return self._advisor.recommend_exhaustive(
-            problem,
-            cost_function=cost_function,
-            delta=delta,
-            max_combinations=max_combinations,
-        ).recommendation
-
-    # ------------------------------------------------------------------
-    # Online refinement (Section 5)
-    # ------------------------------------------------------------------
-    def refine_online(
-        self,
-        problem: VirtualizationDesignProblem,
-        actual_costs: Optional[CostFunction] = None,
-        estimator: Optional[CostFunction] = None,
-        max_iterations: int = 8,
-    ) -> RefinementResult:
-        """Refine the recommendation using observed workload execution times."""
-        return self._advisor.refine(
-            problem,
-            actual_costs=actual_costs or ActualCostFunction(problem),
-            estimator=estimator or WhatIfCostEstimator(problem),
-            max_iterations=max_iterations,
-        )
-
-    # ------------------------------------------------------------------
-    # Dynamic configuration management (Section 6)
-    # ------------------------------------------------------------------
-    def dynamic_manager(
-        self,
-        problem: VirtualizationDesignProblem,
-        always_refine: bool = False,
-        actual_cost_factory=None,
-    ) -> DynamicConfigurationManager:
-        """Create a dynamic configuration manager for a (CPU-only) problem."""
-        return self._advisor.dynamic_manager(
-            problem,
-            always_refine=always_refine,
-            actual_cost_factory=actual_cost_factory,
-        )
-
-    # ------------------------------------------------------------------
-    # Measurement helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def measured_improvement(
-        problem: VirtualizationDesignProblem,
-        allocations: Tuple[ResourceAllocation, ...],
-        actual_costs: Optional[CostFunction] = None,
-    ) -> float:
-        """Actual relative improvement of an allocation over the default."""
-        actual_costs = actual_costs or ActualCostFunction(problem)
-        return improvement_over_default(problem, allocations, actual_costs)

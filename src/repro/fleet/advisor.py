@@ -31,8 +31,6 @@ per-machine solve through the inner advisor's shared
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import threading
 import time
@@ -45,12 +43,12 @@ from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
 from ..core.problem import ConsolidatedWorkload, VirtualizationDesignProblem
 from ..exceptions import ConfigurationError, OptimizationError, PlacementError
-from ..parallel import worker as _worker
 from ..parallel.backends import (
     BACKENDS,
     BackendSpec,
     SolveTask,
     SolverBackend,
+    TaskHandle,
     resolve_backend,
 )
 from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
@@ -129,9 +127,6 @@ class _FleetSolver:
         self.backend = backend if backend is not None else resolve_backend(None)
         self.stats = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
         self._stats_lock = threading.Lock()
-        #: Shared pieces of the process-backend task payloads, built on
-        #: first use (they require a fully *portable* advisor config).
-        self._portable_base: Optional[Dict[str, Any]] = None
         # The bound must come from the enumerator that will actually divide
         # the machine: an instance-supplied enumerator may use a coarser
         # min_share than the advisor-level knob, and grid searches quantize
@@ -207,8 +202,6 @@ class _FleetSolver:
         task = self._task(machine_index, tenant_indices, probe=True)
         submit = getattr(self.backend, "submit", None)
         if submit is None:
-            from ..parallel.backends import TaskHandle
-
             return TaskHandle(task.call)
         return submit(task)
 
@@ -222,10 +215,9 @@ class _FleetSolver:
 
         Returns the per-machine report and its gain-weighted total cost.
         The solve itself is served by the fleet advisor's solve-memo when
-        this (hardware, tenant set, advisor config) has been solved before;
-        the cost-call statistics the call newly generated — a memo hit
-        contributes only ``placement_solve_hits`` — are folded into
-        :attr:`stats`.
+        this (hardware, tenant set) has been solved before; the cost-call
+        statistics the call newly generated — a memo hit contributes only
+        ``placement_solve_hits`` — are folded into :attr:`stats`.
         """
         with get_tracer().span(
             "solve.machine",
@@ -260,88 +252,9 @@ class _FleetSolver:
     def _task(
         self, machine_index: int, tenant_indices: Tuple[int, ...], probe: bool
     ) -> SolveTask:
-        """One solve/probe as a backend task (portable when it can be)."""
-        machine_name = self.problem.machines[machine_index].name
-        if probe:
-            call = lambda: self.machine_cost(machine_index, tenant_indices)  # noqa: E731
-            worker_fn: Any = _worker.probe_machine
-            reassemble: Any = self._reassemble_probe
-        else:
-            call = lambda: self.solve(machine_index, tenant_indices)  # noqa: E731
-            worker_fn = _worker.solve_machine
-            reassemble = self._reassemble_solve
-        payload: Optional[Dict[str, Any]] = None
-        if getattr(self.backend, "requires_portable_tasks", False):
-            tracer = get_tracer()
-            current = tracer.current
-            payload = {
-                **self._portable(),
-                "machine_index": machine_index,
-                "tenant_indices": tuple(sorted(tenant_indices)),
-                # Workers record their own span subtree and ship it back
-                # with the result — but only when the submitting context
-                # would record a span itself (tracing on, not inside a
-                # suppressing leaf region).
-                "trace": bool(
-                    tracer.enabled and current is not None and not current.leaf
-                ),
-            }
-        return SolveTask(
-            call=call,
-            worker=worker_fn if payload is not None else None,
-            payload=payload,
-            reassemble=reassemble,
-            label=f"{'probe' if probe else 'solve'}:{machine_name}",
-        )
-
-    def _portable(self) -> Dict[str, Any]:
-        """Shared payload pieces; also publishes fork-inheritable state.
-
-        The run *token* is a value digest of (problem, advisor config), so
-        equal runs share worker-side state and unequal runs can never
-        collide.  Raises :class:`~repro.exceptions.ConfigurationError` with
-        the actual blocker when the inner advisor cannot be shipped (e.g.
-        it was configured with strategy instances).
-        """
-        if self._portable_base is None:
-            config = self.fleet_advisor.advisor.portable_config()
-            problem_dict = self.problem.to_dict()
-            token = hashlib.sha1(
-                json.dumps(
-                    {"problem": problem_dict, "advisor": config}, sort_keys=True
-                ).encode("utf-8")
-            ).hexdigest()
-            _worker.publish_state(token, self.fleet_advisor, self.problem)
-            self._portable_base = {
-                "token": token,
-                "problem": problem_dict,
-                "advisor": config,
-            }
-        return self._portable_base
-
-    def release(self) -> None:
-        """Withdraw fork-published state once the run is over.
-
-        Workers that already forked keep their own memoized copy (keyed by
-        the run token), so withdrawing only drops the parent-side pin that
-        would otherwise keep the advisor and problem alive in
-        :mod:`repro.parallel.worker` after the run.
-        """
-        if self._portable_base is not None:
-            _worker.withdraw_state(self._portable_base["token"])
-
-    def _reassemble_probe(self, raw: Mapping[str, Any]) -> float:
-        if raw["stats"] is not None:
-            self._add_stats(CostCallStats.from_dict(raw["stats"]))
-        get_tracer().graft(raw.get("spans"))
-        return math.inf if raw["weighted"] is None else raw["weighted"]
-
-    def _reassemble_solve(
-        self, raw: Mapping[str, Any]
-    ) -> Tuple[RecommendationReport, float]:
-        self._add_stats(CostCallStats.from_dict(raw["stats"]))
-        get_tracer().graft(raw.get("spans"))
-        return RecommendationReport.from_dict(raw["report"]), raw["weighted"]
+        """One probe (a cost) or committed solve (report and cost) as a task."""
+        method = self.machine_cost if probe else self.solve
+        return SolveTask(call=lambda: method(machine_index, tenant_indices))
 
 
 class FleetAdvisor:
@@ -357,8 +270,7 @@ class FleetAdvisor:
             (e.g. ``FleetAdvisor(enumerator="exhaustive-dp", delta=0.1)``).
         backend: the solver-execution backend independent per-machine
             solves and placement probes fan out on — a name registered in
-            :data:`~repro.parallel.backends.BACKENDS` (``"serial"``,
-            ``"thread"``, ``"process"``) or a
+            :data:`~repro.parallel.backends.BACKENDS` or a
             :class:`~repro.parallel.backends.SolverBackend` instance.
             Every backend returns the serial answer (see
             :meth:`~repro.fleet.report.FleetReport.canonical_dict`).
@@ -396,17 +308,12 @@ class FleetAdvisor:
             OrderedDict()
         )
         #: Whole per-machine solve results — report + gain-weighted cost —
-        #: keyed by (hardware, tenant-set specs, resource knobs, advisor
-        #: config).  Where the problem memo saves re-*materializing* a
-        #: design and the cost cache saves re-*evaluating* allocations,
-        #: this saves re-*searching*: a repeated placement probe or
-        #: committed division is one dictionary lookup (it has its own
-        #: lock; see :mod:`repro.fleet.solve_memo`).
+        #: keyed by (hardware, tenant-set specs, resource knobs).  Where the
+        #: problem memo saves re-*materializing* a design and the cost cache
+        #: saves re-*evaluating* allocations, this saves re-*searching*: a
+        #: repeated placement probe or committed division is one dictionary
+        #: lookup (it has its own lock; see :mod:`repro.fleet.solve_memo`).
         self.solve_memo = SolveMemo(DEFAULT_SOLVE_MEMO_SIZE)
-        #: Lazily computed advisor-configuration token for solve-memo keys
-        #: (the inner advisor's config is fixed for this fleet advisor's
-        #: lifetime, like every other memo here assumes).
-        self._solve_token: Optional[Tuple[Any, ...]] = None
         #: Guards the builder map and both memos.  Concurrent per-machine
         #: solves (thread backend) materialize problems through one fleet
         #: advisor; the reentrant lock keeps the check-then-create chains
@@ -538,33 +445,18 @@ class FleetAdvisor:
     # ------------------------------------------------------------------
     # Memoized per-machine solves (the placement fast path)
     # ------------------------------------------------------------------
-    def _advisor_token(self) -> Tuple[Any, ...]:
-        """A hashable token for the inner advisor's configuration.
-
-        Part of every solve-memo key, so results can never be served
-        across differently configured advisors (the worker-side advisors
-        of the process backend are memoized per config and share one memo
-        semantics).  Instance-configured advisors fall back to an identity
-        token — correct for this advisor's lifetime, never shareable.
-        """
-        if self._solve_token is None:
-            try:
-                config = self.advisor.portable_config()
-            except ConfigurationError:
-                config = {"instance": id(self.advisor)}
-            self._solve_token = tuple(sorted(config.items()))
-        return self._solve_token
-
     def _solve_key(
         self, problem: FleetProblem, machine: Machine, ordered: Tuple[int, ...]
     ) -> Tuple[Any, ...]:
         """The solve-memo key: everything the machine's answer depends on.
 
         Mirrors the design-problem memo key — hardware shape (+ calibration
-        overrides), tenant-set spec values, resource knobs — plus the
-        advisor-configuration token.  Two machines sharing a
-        ``hardware_key``, or two value-equal fleets, therefore share solve
-        results exactly as they share cost-cache entries.
+        overrides), tenant-set spec values, resource knobs.  The memo
+        belongs to this fleet advisor, whose inner advisor is fixed, so
+        the advisor's configuration need not be part of the key.  Two
+        machines sharing a ``hardware_key``, or two value-equal fleets,
+        therefore share solve results exactly as they share cost-cache
+        entries.
         """
         specs = tuple(problem.tenants[index].spec for index in ordered)
         return (
@@ -572,7 +464,6 @@ class FleetAdvisor:
             specs,
             problem.resources,
             problem.fixed_memory_fraction,
-            self._advisor_token(),
         )
 
     def solve_machine(
@@ -631,7 +522,7 @@ class FleetAdvisor:
 
         A per-call override (name or instance) is resolved fresh; a backend
         this advisor created from a *name* for one call is closed when the
-        call finishes (it may hold worker processes), which the ``owned``
+        call finishes (it may hold pool threads), which the ``owned``
         flag signals to the caller.
         """
         if backend is None and jobs is None:
@@ -711,7 +602,6 @@ class FleetAdvisor:
                 )
             return report
         finally:
-            solver.release()
             if owned:
                 run_backend.close()
 
@@ -759,7 +649,6 @@ class FleetAdvisor:
                     problem, previous, moved, solver, started
                 )
         finally:
-            solver.release()
             if owned:
                 run_backend.close()
 

@@ -93,9 +93,8 @@ class FleetReport:
             these numbers as indicative there; the answer itself is
             backend-invariant (see :meth:`canonical_dict`).
         wall_time_seconds: wall-clock time of the whole recommendation.
-        backend: the solver-execution backend that produced the report
-            (``"serial"`` / ``"thread"`` / ``"process"``, or a custom
-            backend's name) — provenance, not part of the answer.
+        backend: the name of the solver-execution backend that produced
+            the report — provenance, not part of the answer.
         jobs: the backend's worker count.
         placement_provenance: the placement strategy's own account of how
             it found the assignment, when it keeps one — ``"bnb-fleet"``

@@ -14,10 +14,10 @@ candidate sets from scratch.
 the chosen allocation (as a :class:`~repro.api.report.RecommendationReport`)
 plus its gain-weighted cost — keyed by the value of everything the answer
 depends on: the machine's hardware shape (+ calibration overrides), the
-tenant-set spec digest, the problem's resource/memory-model knobs, and the
-inner advisor's configuration token (see
-``FleetAdvisor._solve_key``).  A memo hit turns a repeat probe into one
-dictionary lookup.  Infeasible co-locations (the enumerator raised
+tenant-set spec digest, and the problem's resource/memory-model knobs (see
+``FleetAdvisor._solve_key``).  Each fleet advisor owns its memo and keeps
+one inner advisor for life, so answers never cross advisor configurations.
+A memo hit turns a repeat probe into one dictionary lookup.  Infeasible co-locations (the enumerator raised
 :class:`~repro.exceptions.OptimizationError`) are memoized too, as the
 error message, so repeatedly probing a QoS-blocked candidate never re-runs
 the search either.

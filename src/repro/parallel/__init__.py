@@ -2,8 +2,7 @@
 
 The fleet advisor, the trace replayers, and the CLI fan their independent
 per-machine solves out through a :class:`~repro.parallel.backends.SolverBackend`
-selected by name (``"serial"`` / ``"thread"`` / ``"process"`` /
-``"asyncio"``) from the open
+selected by name from the open
 :data:`~repro.parallel.backends.BACKENDS` registry — see
 ``docs/parallel.md`` for the subsystem guide and the determinism contract
 (every backend returns the serial answer, bit for bit, under
@@ -17,7 +16,6 @@ from .backends import (
     BACKENDS,
     DEFAULT_THREAD_JOBS,
     BackendSpec,
-    ProcessBackend,
     SerialBackend,
     SolveTask,
     SolverBackend,
@@ -32,7 +30,6 @@ __all__ = [
     "BackendSpec",
     "DEFAULT_RPC_LATENCY_SECONDS",
     "DEFAULT_THREAD_JOBS",
-    "ProcessBackend",
     "SerialBackend",
     "SimulatedRpcWhatIfEstimator",
     "SolveTask",

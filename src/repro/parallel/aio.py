@@ -52,7 +52,6 @@ class AsyncioBackend:
     """
 
     name = "asyncio"
-    requires_portable_tasks = False
 
     def __init__(self, jobs: Optional[int] = None, **_ignored: Any) -> None:
         self.jobs = _check_jobs(jobs if jobs is not None else DEFAULT_THREAD_JOBS)
@@ -116,9 +115,6 @@ class AsyncioBackend:
         return FutureTaskHandle(
             self._ensure_executor().submit(get_tracer().bind(task.call))
         )
-
-    def inline(self) -> "AsyncioBackend":
-        return self
 
     def close(self) -> None:
         """Shut the executor down (idempotent; a later run re-creates it)."""

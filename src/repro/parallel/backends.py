@@ -1,4 +1,4 @@
-"""Pluggable solver-execution backends: serial, thread pool, process pool.
+"""Pluggable solver-execution backends: serial and thread pool.
 
 The fleet layer and the trace replayer issue many *independent* solves —
 per-machine divisions, greedy-cost placement probes, per-machine dynamic
@@ -21,16 +21,11 @@ Backends live behind the same open
   requires the per-solve work to release the GIL — which the production
   deployment's what-if calls do (they are RPCs to a DBMS optimizer; see
   :mod:`repro.parallel.simulated`).
-* ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`.
-  Tasks must be *portable* (carry a picklable payload plus a module-level
-  worker function); workers rebuild the solve state from the payload — or
-  inherit it when the platform forks — and return picklable results whose
-  cache statistics are merged back into the caller's accounting.
 
-A task that cannot ship across processes (e.g. a stateful dynamic-manager
-step) is *inline-only*; drivers route such tasks through
-:meth:`SolverBackend.inline` — the backend itself for serial/thread, a
-thread pool of the same width for the process backend.
+:mod:`repro.parallel.aio` registers a third, ``"asyncio"``, for the
+serving tier.  Every backend runs its tasks in this process, on shared
+objects: a task is a closure, and its side effects (cache traffic, trace
+spans) land where the caller can see them.
 
 Besides the batch-with-a-barrier :meth:`SolverBackend.run`, every built-in
 backend offers :meth:`SolverBackend.submit`: enqueue *one* task now,
@@ -47,53 +42,29 @@ handles (correct, just without the overlap).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Any, Callable, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from ..api.strategies import StrategyRegistry
 from ..exceptions import ConfigurationError
 from ..telemetry.trace import get_tracer
 
 #: Default worker count when ``jobs`` is not given.  Threads overlap
-#: latency (RPC-shaped what-if calls) regardless of core count, so their
-#: default is a small constant; processes buy CPU parallelism only, so
-#: their default follows the machine.
+#: latency (RPC-shaped what-if calls) regardless of core count, so the
+#: default is a small constant.
 DEFAULT_THREAD_JOBS = 4
-
-
-def _default_process_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass
 class SolveTask:
-    """One independent solve, runnable inline or shipped to a worker.
+    """One independent solve.
 
     Attributes:
-        call: zero-argument closure computing the result in-process (the
-            serial and thread path).
-        worker: a *module-level* function ``worker(payload) -> raw`` for
-            the process path (picklable by reference), or ``None`` for an
-            inline-only task.
-        payload: picklable argument for ``worker``.
-        reassemble: converts the worker's raw (picklable) result into the
-            caller's result type, running in the parent process — this is
-            where cache statistics returned by the worker are merged back.
-        label: short description for error messages.
+        call: zero-argument closure computing the result.
     """
 
     call: Callable[[], Any]
-    worker: Optional[Callable[[Dict[str, Any]], Any]] = None
-    payload: Optional[Dict[str, Any]] = None
-    reassemble: Optional[Callable[[Any], Any]] = None
-    label: str = "solve"
-
-    @property
-    def portable(self) -> bool:
-        """Whether the task can run in another process."""
-        return self.worker is not None and self.payload is not None
 
 
 class TaskHandle:
@@ -123,31 +94,15 @@ class TaskHandle:
 
 
 class FutureTaskHandle(TaskHandle):
-    """Handle over a :class:`concurrent.futures.Future` already running.
+    """Handle over a :class:`concurrent.futures.Future` already running."""
 
-    ``reassemble`` converts the raw (e.g. pickled-across-processes) result
-    into the caller's type in the collecting thread, exactly as
-    :meth:`SolverBackend.run` applies :attr:`SolveTask.reassemble`.
-    """
+    __slots__ = ("_future",)
 
-    __slots__ = ("_future", "_reassemble")
-
-    def __init__(
-        self, future: Future, reassemble: Optional[Callable[[Any], Any]] = None
-    ) -> None:
+    def __init__(self, future: Future) -> None:
         self._future = future
-        self._reassemble = reassemble
-        self._done = False
-        self._value = None
 
     def result(self) -> Any:
-        if not self._done:
-            raw = self._future.result()
-            self._value = (
-                self._reassemble(raw) if self._reassemble is not None else raw
-            )
-            self._done = True
-        return self._value
+        return self._future.result()
 
 
 @runtime_checkable
@@ -165,10 +120,6 @@ class SolverBackend(Protocol):
 
     def run(self, tasks: Sequence[SolveTask]) -> List[Any]:
         """Run every task and return their results in task order."""
-        ...
-
-    def inline(self) -> "SolverBackend":
-        """A backend able to run inline-only (non-portable) tasks."""
         ...
 
     def close(self) -> None:
@@ -192,7 +143,6 @@ class SerialBackend:
     """Run tasks inline, in order — the pre-subsystem behavior."""
 
     name = "serial"
-    requires_portable_tasks = False
 
     def __init__(self, jobs: Optional[int] = None, **_ignored: Any) -> None:
         # A serial backend runs one task at a time; silently dropping an
@@ -218,9 +168,6 @@ class SerialBackend:
         """
         return TaskHandle(task.call)
 
-    def inline(self) -> "SerialBackend":
-        return self
-
     def close(self) -> None:
         """Nothing pooled; nothing to release."""
 
@@ -242,7 +189,6 @@ class ThreadBackend:
     """
 
     name = "thread"
-    requires_portable_tasks = False
 
     def __init__(self, jobs: Optional[int] = None, **_ignored: Any) -> None:
         self.jobs = _check_jobs(jobs if jobs is not None else DEFAULT_THREAD_JOBS)
@@ -274,9 +220,6 @@ class ThreadBackend:
             self._ensure_pool().submit(get_tracer().bind(task.call))
         )
 
-    def inline(self) -> "ThreadBackend":
-        return self
-
     def close(self) -> None:
         """Shut the pool down (idempotent; a later run() re-creates it)."""
         if self._pool is not None:
@@ -290,97 +233,8 @@ class ThreadBackend:
         self.close()
 
 
-class ProcessBackend:
-    """Run portable tasks on a shared :class:`ProcessPoolExecutor`.
-
-    Every task must be :attr:`SolveTask.portable`: its payload is shipped
-    to a worker process, the module-level worker function rebuilds the
-    solve state from the payload (or reuses state inherited on fork /
-    cached from an earlier task of the same run token — see
-    :mod:`repro.parallel.worker`), and the picklable result is reassembled
-    in the parent, merging the worker's cache statistics back in.
-
-    The pool is created lazily and reused across calls so worker-side
-    state (calibrations, cost caches) amortizes across a whole fleet
-    recommendation and across repeated recommendations.  Inline-only tasks
-    (stateful dynamic-manager steps) do not fit this model; they run on
-    the backend's :meth:`inline` thread fallback of the same width.
-    """
-
-    name = "process"
-    #: Drivers consult this to attach picklable payloads to their tasks
-    #: (building a payload can fail with a *specific* error — e.g. an
-    #: advisor configured with strategy instances — before run() would
-    #: reject the inline-only task with a generic one).
-    requires_portable_tasks = True
-
-    def __init__(self, jobs: Optional[int] = None, **_ignored: Any) -> None:
-        self.jobs = _check_jobs(jobs if jobs is not None else _default_process_jobs())
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._inline: Optional[ThreadBackend] = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
-    def run(self, tasks: Sequence[SolveTask]) -> List[Any]:
-        """Ship every task's payload to a worker; reassemble in task order."""
-        for task in tasks:
-            if not task.portable:
-                raise ConfigurationError(
-                    f"the process backend cannot run the non-portable task "
-                    f"{task.label!r}: it has no picklable payload.  Use the "
-                    f"thread or serial backend for this operation."
-                )
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        futures: List[Future] = [
-            pool.submit(task.worker, task.payload) for task in tasks
-        ]
-        raw_results = [future.result() for future in futures]
-        return [
-            task.reassemble(raw) if task.reassemble is not None else raw
-            for task, raw in zip(tasks, raw_results)
-        ]
-
-    def submit(self, task: SolveTask) -> TaskHandle:
-        """Ship the task's payload to a worker now; reassemble on collect."""
-        if not task.portable:
-            raise ConfigurationError(
-                f"the process backend cannot run the non-portable task "
-                f"{task.label!r}: it has no picklable payload.  Use the "
-                f"thread or serial backend for this operation."
-            )
-        future = self._ensure_pool().submit(task.worker, task.payload)
-        return FutureTaskHandle(future, task.reassemble)
-
-    def inline(self) -> ThreadBackend:
-        """A thread pool of the same width, for inline-only tasks."""
-        if self._inline is None:
-            self._inline = ThreadBackend(jobs=self.jobs)
-        return self._inline
-
-    def close(self) -> None:
-        """Shut the process pool (and the inline fallback) down."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._inline is not None:
-            self._inline.close()
-            self._inline = None
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
 BACKENDS.register("serial", lambda jobs=None, **_ignored: SerialBackend(jobs=jobs))
 BACKENDS.register("thread", lambda jobs=None, **_ignored: ThreadBackend(jobs=jobs))
-BACKENDS.register("process", lambda jobs=None, **_ignored: ProcessBackend(jobs=jobs))
 
 
 def resolve_backend(

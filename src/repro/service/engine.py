@@ -113,8 +113,7 @@ class AdvisorService:
 
     Args:
         backend: solver-execution backend fleet solves and replays fan out
-            on — a registered name (``"serial"`` / ``"thread"`` /
-            ``"process"`` / ``"asyncio"``) or an instance.  The default is
+            on — a registered name or an instance.  The default is
             ``"asyncio"``: served solves overlap their RPC-shaped what-if
             calls while returning the serial answer bit for bit.
         jobs: worker count for a backend given by name.

@@ -30,8 +30,9 @@ and each admitted solve runs on a worker thread where the service's
 ``asyncio`` solver backend is free to open its own per-batch loop.
 
 Errors map to JSON bodies: malformed documents are ``400 {"error": ...}``
-(:class:`~repro.exceptions.ReproError`, bad JSON), unknown paths ``404``,
-wrong verbs ``405``, anything unexpected ``500``.
+(:class:`~repro.exceptions.ReproError`, bad JSON, an invalid
+``Content-Length``, after which the connection closes), unknown paths
+``404``, wrong verbs ``405``, anything unexpected ``500``.
 """
 
 from __future__ import annotations
@@ -203,8 +204,14 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_document(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # The body's end is unknowable, so the connection cannot carry
+            # another request: answer 400, then close it (RFC 9112 §6.3).
+            self.close_connection = True
+            raise ReproError(f"invalid Content-Length header: {header!r}")
+        length = int(header)
+        if length == 0:
             raise json.JSONDecodeError("empty request body", "", 0)
         body = self.rfile.read(length).decode("utf-8")
         return json.loads(body)
@@ -219,18 +226,22 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         content_type: str,
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
-        self.send_response(status)
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Count the request before the response goes out: a client holding
+        # its response must already see it in /metrics.
         endpoint = getattr(self, "_endpoint", "other")
         HTTP_REQUESTS_TOTAL.labels(endpoint=endpoint, status=str(status)).inc()
         span = getattr(self, "_span", None)
         if span is not None:
             span.set_attribute("status", status)
+        self.send_response(status)
+        for name, value in extra_headers:
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
     def _method_not_allowed(self, allowed: str) -> None:
         self._send_bytes(

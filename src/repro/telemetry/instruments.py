@@ -5,11 +5,6 @@ Every hot path shares these module-level handles instead of re-resolving
 The registry is process-wide, so a served tier, an embedded advisor, and
 a CLI run all land in the same families — and ``GET /metrics`` exposes
 exactly this set (plus whatever else registered).
-
-Process-backend workers update their *own* process's registry; worker
-metrics do not ship back with results (spans and cost-call statistics
-do).  The parent's metrics therefore count parent-side work only, which
-is the scrape surface that matters for a served tier.
 """
 
 from __future__ import annotations

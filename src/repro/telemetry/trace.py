@@ -16,10 +16,7 @@ Design rules, in priority order:
 * **Context survives the backends.**  The current span lives in
   thread-local storage; :meth:`Tracer.bind` re-homes a callable under
   the submitting thread's span so thread/asyncio pool workers attach
-  their spans to the right parent, and process workers record their own
-  subtree under :meth:`Tracer.capture` and ship it back with the result
-  (grafted by :meth:`Tracer.graft`), the same way cache-call statistics
-  merge today.
+  their spans to the right parent.
 
 Span trees are kept deliberately coarse: hot inner loops (the
 branch-and-bound search, the greedy probe rounds) run under a single
@@ -285,51 +282,6 @@ class JsonlSink:
                 self._handle = None
 
 
-class _Capture:
-    """Context manager recording a subtree for shipping (process workers).
-
-    Forces recording on for the current thread regardless of the global
-    enable flag, roots a fresh span, and — instead of emitting to sinks —
-    stores the completed tree on :attr:`trace` for the caller to return
-    with its result (the parent grafts it; see :meth:`Tracer.graft`).
-    """
-
-    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_prev_enabled", "trace")
-
-    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._attributes = attributes
-        self._span: Optional[Span] = None
-        self._prev_enabled = False
-        self.trace: Optional[Dict[str, Any]] = None
-
-    def __enter__(self) -> "_Capture":
-        tracer = self._tracer
-        self._prev_enabled = tracer.enabled
-        tracer.enabled = True
-        tracer._local.capturing = True
-        self._span = tracer._start_span(
-            self._name, leaf=False, attributes=self._attributes, capture=True
-        )
-        tracer._push(self._span)
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        tracer = self._tracer
-        span = self._span
-        try:
-            if span is not None:
-                if exc_type is not None:
-                    span.attributes.setdefault("error", exc_type.__name__)
-                span.end()
-                self.trace = span.to_dict()
-        finally:
-            tracer._local.capturing = False
-            tracer.enabled = self._prev_enabled
-        return False
-
-
 class Tracer:
     """Produces spans, tracks the current one per thread, emits traces.
 
@@ -345,7 +297,6 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._capturing = 0
 
     # -- configuration -------------------------------------------------
     def enable(self, *sinks: Any) -> None:
@@ -400,19 +351,9 @@ class Tracer:
         """
         if not self.enabled:
             return NOOP_SPAN
-        current = self.current
-        if current is not None and current.leaf:
+        parent = self.current
+        if parent is not None and parent.leaf:
             return NOOP_SPAN
-        return self._start_span(name, leaf=leaf, attributes=attributes)
-
-    def _start_span(
-        self,
-        name: str,
-        leaf: bool,
-        attributes: Dict[str, Any],
-        capture: bool = False,
-    ) -> Span:
-        parent = None if capture else self.current
         with self._lock:
             span_id = next(self._ids)
         if parent is None:
@@ -435,8 +376,6 @@ class Tracer:
 
     def _finish(self, root: Span) -> None:
         """A root span ended: emit its completed trace to every sink."""
-        if getattr(self._local, "capturing", False):
-            return  # captured subtrees ship with results, not to sinks
         from .instruments import TRACES_EMITTED
 
         trace = root.to_dict()
@@ -471,42 +410,6 @@ class Tracer:
                 self._local.stack = saved if saved is not None else []
 
         return bound
-
-    def capture(self, name: str, **attributes: Any) -> _Capture:
-        """Record a subtree for shipping back with a result (worker side).
-
-        Process workers cannot share the parent's span objects; they wrap
-        the solve in ``capture`` — which forces recording on for this
-        thread even if the worker never enabled tracing — and return
-        ``cap.trace`` alongside the result, exactly as worker-side
-        :class:`~repro.api.report.CostCallStats` travel today.
-        """
-        return _Capture(self, name, attributes)
-
-    def graft(self, trace: Optional[Dict[str, Any]]) -> None:
-        """Attach a shipped span subtree under the current span (parent side)."""
-        if trace is None or not self.enabled:
-            return
-        current = self.current
-        if current is None or current.leaf:
-            return
-        grafted = dict(trace)
-        grafted["trace_id"] = current.trace_id
-        grafted.setdefault("attributes", {})["shipped"] = True
-        with self._lock:
-            current.children.append(_GraftedSpan(grafted))
-
-
-class _GraftedSpan:
-    """A pre-serialized child subtree (shipped from a process worker)."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Dict[str, Any]) -> None:
-        self._data = data
-
-    def to_dict(self) -> Dict[str, Any]:
-        return self._data
 
 
 #: The process-wide tracer every instrumentation site uses.

@@ -58,7 +58,7 @@ from ..fleet.advisor import FleetAdvisor
 from ..fleet.problem import FleetProblem, FleetTenant
 from ..monitoring.metrics import relative_improvement
 from ..monitoring.monitor import CHANGE_MAJOR
-from ..parallel.backends import BackendSpec, SolveTask, SolverBackend, resolve_backend
+from ..parallel.backends import BackendSpec, SolveTask, resolve_backend
 from ..telemetry.trace import get_tracer
 from .model import WorkloadTrace
 
@@ -96,18 +96,6 @@ def _stats_delta(before: CostCallStats, after: CostCallStats) -> CostCallStats:
         cache_hits=after.cache_hits - before.cache_hits,
         cache_misses=after.cache_misses - before.cache_misses,
     )
-
-
-def _step_backend(backend: SolverBackend) -> SolverBackend:
-    """The backend a replayer's *manager steps* run on.
-
-    Dynamic-manager steps carry mutable in-process state, so they cannot
-    ship across processes; a process backend delegates them to its
-    same-width thread fallback (``inline()``), while serial and thread
-    backends run them directly.
-    """
-    inline = getattr(backend, "inline", None)
-    return inline() if callable(inline) else backend
 
 
 @dataclass(frozen=True)
@@ -186,9 +174,8 @@ class ReplayReport:
             equal cache misses; 0 evaluations ⇒ the replay was answered
             entirely from the cache).
         wall_time_seconds: wall-clock time of the replay.
-        backend: the solver-execution backend the replay was requested on
-            (provenance; stateful manager steps run on a process backend's
-            thread fallback).
+        backend: the solver-execution backend the replay ran on
+            (provenance).
         jobs: the backend's worker count.
     """
 
@@ -425,13 +412,10 @@ class TraceReplayer:
                     )
 
             tasks = [
-                SolveTask(
-                    call=lambda period=period: static_period(period),
-                    label=f"replay-period:{period}",
-                )
+                SolveTask(call=lambda period=period: static_period(period))
                 for period in range(1, self.trace.n_periods + 1)
             ]
-            periods = list(_step_backend(self.backend).run(tasks))
+            periods = list(self.backend.run(tasks))
         else:
             # Dynamic policies are a chain: period p's decision is period
             # p+1's starting allocation, so the loop stays sequential.
@@ -481,12 +465,10 @@ class FleetTraceReplayer:
 
     ``backend`` / ``jobs`` select the solver-execution backend: each
     period's per-machine manager steps are independent and run
-    concurrently on it (a process backend's steps run on its same-width
-    thread fallback — manager state cannot ship across processes), and the
-    re-placement solves fan out through the internally-built
-    :class:`~repro.fleet.FleetAdvisor`.  Supplying your own ``advisor``
-    instead reuses that advisor's backend; the replayed periods are
-    bit-identical to a serial replay either way
+    concurrently on it, and the re-placement solves fan out through the
+    internally-built :class:`~repro.fleet.FleetAdvisor`.  Supplying your
+    own ``advisor`` instead reuses that advisor's backend; the replayed
+    periods are bit-identical to a serial replay either way
     (:meth:`ReplayReport.canonical_dict`).
     """
 
@@ -615,8 +597,6 @@ class FleetTraceReplayer:
                 for machine_index, indices in loads.items()
             }
 
-        step_backend = _step_backend(self.backend)
-
         def machine_step(
             problem: FleetProblem, machine_index: int, indices: Tuple[int, ...]
         ) -> Dict[str, Any]:
@@ -673,8 +653,7 @@ class FleetTraceReplayer:
                 SolveTask(
                     call=lambda p=problem, m=machine_index, i=indices: (
                         machine_step(p, m, i)
-                    ),
-                    label=f"replay-machine:{machine_index}",
+                    )
                 )
                 for machine_index, indices in ordered_loads
             ]
@@ -683,7 +662,7 @@ class FleetTraceReplayer:
             with get_tracer().span(
                 "replay.period", leaf=True, period=period, machines=len(tasks)
             ):
-                records = step_backend.run(tasks)
+                records = self.backend.run(tasks)
             for record in records:
                 default_cost += record["default_cost"]
                 change_classes.update(record["change_classes"])

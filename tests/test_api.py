@@ -24,7 +24,6 @@ from repro.api import (
     TenantSpec,
     UnknownStrategyError,
 )
-from repro.core.advisor import Recommendation, VirtualizationDesignAdvisor
 from repro.core.cost_estimator import WhatIfCostEstimator
 from repro.core.enumerator import ExhaustiveSearch, GreedyConfigurationEnumerator
 from repro.core.problem import (
@@ -246,10 +245,13 @@ class TestStrategyRegistries:
         assert {"actual", "what-if"} <= set(COST_FUNCTIONS.names())
         assert {"basic", "generalized"} <= set(REFINEMENTS.names())
 
-    def test_unknown_name_lists_registered_strategies(self):
+    def test_unknown_name_lists_registered_strategies(self, scenario_problem):
         with pytest.raises(UnknownStrategyError, match="greedy"):
             ENUMERATORS.create("simulated-annealing")
         assert issubclass(UnknownStrategyError, ConfigurationError)
+        # Cost-function names resolve lazily, on the first recommend.
+        with pytest.raises(ConfigurationError, match="unknown cost function"):
+            Advisor(cost_function="what-if-typo").recommend(scenario_problem)
 
     def test_custom_strategy_registration(self, scenario_problem):
         ENUMERATORS.register(
@@ -614,31 +616,3 @@ class TestAdvisor:
         result = advisor.refine(scenario_problem, max_iterations=2)
         assert result.iteration_count >= 1
         scenario_problem.validate_allocations(result.final_allocations)
-
-
-class TestDeprecatedFacade:
-    def test_old_facade_warns_and_delegates(self, scenario_problem):
-        with pytest.deprecated_call():
-            advisor = VirtualizationDesignAdvisor(delta=0.25, min_share=0.25)
-        recommendation = advisor.recommend(scenario_problem)
-        assert isinstance(recommendation, Recommendation)
-        scenario_problem.validate_allocations(recommendation.allocations)
-
-    def test_old_facade_honours_enumerator_reassignment(self, scenario_problem):
-        with pytest.deprecated_call():
-            advisor = VirtualizationDesignAdvisor(delta=0.25, min_share=0.25)
-        advisor.enumerator = ExhaustiveSearch(delta=0.25, min_share=0.25)
-        recommendation = advisor.recommend(scenario_problem)
-        # Exhaustive search reports grid points examined, not greedy steps:
-        # splitting 4 CPU units over 2 tenants (min 1 each) gives 3 points.
-        assert recommendation.iterations == 3
-
-    def test_old_facade_reports_stable_cost_calls_on_repeat(self, scenario_problem):
-        with pytest.deprecated_call():
-            advisor = VirtualizationDesignAdvisor(delta=0.25, min_share=0.25)
-        first = advisor.recommend(scenario_problem)
-        second = advisor.recommend(scenario_problem)
-        # The old facade rebuilt its estimator per call; the shim preserves
-        # that observable (unlike repro.api.Advisor, whose shared cache
-        # reports zero cost calls on a repeated recommend).
-        assert first.cost_calls == second.cost_calls > 0

@@ -377,7 +377,7 @@ class TestProvenance:
 # ----------------------------------------------------------------------
 class TestBackendDeterminism:
     @pytest.mark.parametrize("backend,jobs", [
-        ("thread", 4), ("process", 2), ("asyncio", 4),
+        ("thread", 4), ("asyncio", 4),
     ])
     def test_canonical_dict_identical_to_serial(self, backend, jobs):
         problem = small_fleet()

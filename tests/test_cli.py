@@ -127,8 +127,10 @@ class TestFleetCommand:
 
     def test_unknown_backend_is_rejected_by_argparse(self, tmp_path, capsys):
         path = write(tmp_path, "fleet.json", FLEET)
-        with pytest.raises(SystemExit):
-            main(["fleet", path, "--backend", "gpu"])
+        for name in ("gpu", "process"):
+            with pytest.raises(SystemExit) as exited:
+                main(["fleet", path, "--backend", name])
+            assert exited.value.code == 2
 
     def test_bnb_placement_reports_search_provenance(self, tmp_path, capsys):
         path = write(tmp_path, "fleet.json", FLEET)

@@ -1,27 +1,23 @@
 """Tests for the parallel solver-execution subsystem (:mod:`repro.parallel`).
 
 Covers the backend registry and the three built-in backends (task
-ordering, exception propagation, portable-task enforcement), the
-determinism contract — the ``thread`` and ``process`` backends produce
-bit-identical fleet reports and replay periods to ``serial`` on the
-12-tenant × 4-machine example — backend/jobs provenance in the reports,
-and the simulated-RPC what-if estimator the scaling benchmark builds on.
+ordering, exception propagation, bounded concurrency), the determinism
+contract — the ``thread`` and ``asyncio`` backends produce bit-identical
+fleet reports and replay periods to ``serial`` on the 12-tenant ×
+4-machine example — backend/jobs provenance in the reports, and the
+simulated-RPC what-if estimator the scaling benchmark builds on.
 """
-
-import math
 
 import pytest
 
-from repro.api import Advisor
+from repro.api import UnknownStrategyError
 from repro.api.strategies import COST_FUNCTIONS
-from repro.core.enumerator import GreedyConfigurationEnumerator
 from repro.exceptions import ConfigurationError
 from repro.experiments.fleet import build_fleet_problem
 from repro.fleet import FleetAdvisor, FleetProblem, FleetReport
 from repro.parallel import (
     BACKENDS,
     AsyncioBackend,
-    ProcessBackend,
     SerialBackend,
     SimulatedRpcWhatIfEstimator,
     SolveTask,
@@ -31,9 +27,8 @@ from repro.parallel import (
 from repro.traces import FleetTraceReplayer, ReplayReport, TraceReplayer
 from repro.traces.generators import diurnal_trace
 
-#: Coarse grid keeps every solve fast; calibration overrides keep worker
-#: processes (which cannot share the parent's calibrations unless forked)
-#: cheap to warm up.
+#: Coarse grid keeps every solve fast; the calibration override keeps each
+#: fresh advisor cheap to warm up.
 FAST_FLEET_CALIBRATION = {"cpu_shares": [0.25, 0.5, 0.75, 1.0]}
 
 
@@ -75,13 +70,12 @@ def small_trace_and_fleet(n_tenants=4, n_machines=2, n_periods=3):
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_registry_names(self):
-        assert {"serial", "thread", "process", "asyncio"} <= set(BACKENDS.names())
+        assert {"serial", "thread", "asyncio"} <= set(BACKENDS.names())
 
     def test_resolve_by_name_and_default(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("thread", jobs=2), ThreadBackend)
         assert resolve_backend("thread", jobs=2).jobs == 2
-        assert isinstance(resolve_backend("process", jobs=1), ProcessBackend)
 
     def test_resolve_rejects_jobs_with_instance(self):
         with pytest.raises(ConfigurationError):
@@ -94,6 +88,9 @@ class TestBackends:
     def test_unknown_name_is_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("gpu")
+        # An unregistered name is rejected with the registered ones listed.
+        with pytest.raises(UnknownStrategyError, match="asyncio, serial, thread"):
+            resolve_backend("process")
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -131,18 +128,6 @@ class TestBackends:
         with ThreadBackend(jobs=2) as backend:
             with pytest.raises(ValueError, match="solver exploded"):
                 backend.run([SolveTask(call=boom), SolveTask(call=lambda: 1)])
-
-    def test_process_rejects_inline_only_tasks(self):
-        with ProcessBackend(jobs=1) as backend:
-            with pytest.raises(ConfigurationError, match="non-portable"):
-                backend.run([SolveTask(call=lambda: 1, label="manager-step")])
-
-    def test_process_inline_fallback_is_thread(self):
-        with ProcessBackend(jobs=3) as backend:
-            inline = backend.inline()
-            assert isinstance(inline, ThreadBackend)
-            assert inline.jobs == 3
-            assert inline.run([SolveTask(call=lambda: 7)]) == [7]
 
     def test_asyncio_preserves_task_order(self):
         with AsyncioBackend(jobs=4) as backend:
@@ -224,16 +209,6 @@ class TestFleetDeterminism:
         assert threaded.jobs == 4
         assert threaded.canonical_dict() == serial_report.canonical_dict()
 
-    def test_process_backend_is_bit_identical(self, problem, serial_report):
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=2)
-        try:
-            report = advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-        assert report.backend == "process"
-        assert report.jobs == 2
-        assert report.canonical_dict() == serial_report.canonical_dict()
-
     def test_asyncio_backend_is_bit_identical(self, problem, serial_report):
         advisor = FleetAdvisor(delta=0.25, backend="asyncio", jobs=4)
         try:
@@ -267,24 +242,6 @@ class TestFleetDeterminism:
         assert rebuilt.canonical_dict() == serial_report.canonical_dict()
         assert rebuilt.backend == serial_report.backend
 
-    def test_process_backend_requires_portable_advisor(self, problem):
-        advisor = FleetAdvisor(
-            advisor=Advisor(enumerator=GreedyConfigurationEnumerator(delta=0.25)),
-            backend="process",
-            jobs=1,
-        )
-        try:
-            with pytest.raises(ConfigurationError, match="thread/serial"):
-                advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-
-    def test_portable_config_rejects_unregistered_cost_function(self):
-        # Advisor validates cost-function names lazily, so a typo would
-        # otherwise only explode inside a worker process.
-        with pytest.raises(ConfigurationError, match="not a registered"):
-            Advisor(cost_function="what-if-typo").portable_config()
-
     def test_jobs_only_override_requires_registry_backend(self, problem):
         class CustomBackend(SerialBackend):
             name = "custom-rpc"
@@ -292,23 +249,6 @@ class TestFleetDeterminism:
         advisor = FleetAdvisor(delta=0.25, backend=CustomBackend())
         with pytest.raises(ConfigurationError, match="custom backend"):
             advisor.recommend(problem, jobs=8)
-
-    def test_fork_published_state_is_withdrawn_after_the_run(self, problem):
-        from repro.parallel import worker
-
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=1)
-        try:
-            advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-        # The run published its live state for fork inheritance and must
-        # have withdrawn it on completion — otherwise the module-global
-        # table pins the advisor (calibrations, caches) for process life.
-        assert not any(
-            fleet_advisor is advisor
-            for fleet_advisor, _problem in worker._PUBLISHED.values()
-        )
-
 
 class TestReplayDeterminism:
     @pytest.fixture(scope="class")
@@ -335,22 +275,6 @@ class TestReplayDeterminism:
         finally:
             replayer.backend.close()
         assert report.backend == "asyncio"
-        assert report.canonical_dict() == serial.canonical_dict()
-
-    def test_fleet_replay_process_steps_use_thread_fallback(self, trace_and_fleet):
-        # Manager steps cannot ship across processes; the process backend's
-        # replay must still produce the serial answer (re-placement solves
-        # go to worker processes, manager steps to the thread fallback).
-        trace, fleet = trace_and_fleet
-        serial = FleetTraceReplayer(trace, fleet).replay()
-        replayer = FleetTraceReplayer(
-            trace, fleet, backend="process", jobs=2
-        )
-        try:
-            report = replayer.replay()
-        finally:
-            replayer.backend.close()
-        assert report.backend == "process"
         assert report.canonical_dict() == serial.canonical_dict()
 
     def test_single_machine_static_replay_fans_out(self, trace_and_fleet):
@@ -405,12 +329,3 @@ class TestSimulatedRpc:
             SimulatedRpcWhatIfEstimator.cache_namespace
             == WhatIfCostEstimator.__name__
         )
-
-    def test_infinite_probe_reassembles_to_inf(self):
-        # The probe path maps worker-side infeasibility to +inf exactly as
-        # the in-process machine_cost contract does.
-        from repro.fleet.advisor import _FleetSolver
-
-        problem = fast_fleet(n_tenants=2, n_machines=1)
-        solver = _FleetSolver(FleetAdvisor(delta=0.25), problem)
-        assert solver._reassemble_probe({"weighted": None, "stats": None}) == math.inf

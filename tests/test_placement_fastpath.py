@@ -16,7 +16,7 @@ gap that ``greedy-cost+ls`` must close.
 import math
 import random
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -262,20 +262,11 @@ class TestTaskHandles:
         backend = ThreadBackend(jobs=2)
         try:
             handle = backend.submit(SolveTask(call=lambda: 7))
+            assert isinstance(handle, FutureTaskHandle)  # started at submit
             assert handle.result() == 7
+            assert handle.result() == 7  # a second collect re-reads the result
         finally:
             backend.close()
-
-    def test_future_handle_applies_reassemble_once(self):
-        future = Future()
-        future.set_result({"raw": 3})
-        seen = []
-        handle = FutureTaskHandle(
-            future, reassemble=lambda raw: seen.append(raw) or raw["raw"] * 2
-        )
-        assert handle.result() == 6
-        assert handle.result() == 6
-        assert seen == [{"raw": 3}]
 
 
 # ----------------------------------------------------------------------
@@ -419,18 +410,6 @@ class TestSpeculativeProbing:
         assert spec.placement == greedy.placement
         assert spec.total_weighted_cost == greedy.total_weighted_cost
         assert spec.strategy == "greedy-cost-spec"
-
-    def test_speculation_is_bit_identical_on_process_backend(self):
-        problem = small_fleet(n_tenants=3, n_machines=2)
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=2)
-        try:
-            serial_spec = FleetAdvisor(delta=0.25).recommend(
-                problem, placement="greedy-cost-spec"
-            )
-            spec = advisor.recommend(problem, placement="greedy-cost-spec")
-            assert spec.canonical_dict() == serial_spec.canonical_dict()
-        finally:
-            advisor.backend.close()
 
     def test_fallback_without_machine_costs_matches_full_solver(
         self, shared_advisor

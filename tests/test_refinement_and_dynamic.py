@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.advisor import VirtualizationDesignAdvisor
+from repro.api import Advisor
 from repro.core.cost_estimator import ActualCostFunction, WhatIfCostEstimator
 from repro.core.dynamic import ACTION_DISCARD, ACTION_KEEP, DynamicConfigurationManager
 from repro.core.enumerator import GreedyConfigurationEnumerator
@@ -14,6 +14,7 @@ from repro.core.problem import (
 )
 from repro.core.refinement import BasicOnlineRefinement, GeneralizedOnlineRefinement
 from repro.exceptions import ConfigurationError, RefinementError
+from repro.monitoring.metrics import improvement_over_default
 from repro.workloads.generator import tpcc_workload
 from repro.workloads.units import mixed_cpu_workload
 from repro.workloads.workload import Workload, WorkloadStatement
@@ -236,8 +237,7 @@ class TestAdvisorFacade:
             resources=(CPU,),
             fixed_memory_fraction=FIXED_MEMORY,
         )
-        advisor = VirtualizationDesignAdvisor()
-        recommendation = advisor.recommend(problem)
+        recommendation = Advisor().recommend(problem).recommendation
         assert recommendation.total_cost <= recommendation.default_cost + 1e-9
         assert 0.0 <= recommendation.estimated_improvement < 1.0
         assert recommendation.allocation_of(0).cpu_share > 0.5
@@ -254,20 +254,18 @@ class TestAdvisorFacade:
             resources=(CPU,),
             fixed_memory_fraction=FIXED_MEMORY,
         )
-        advisor = VirtualizationDesignAdvisor(delta=0.1, min_share=0.1)
+        advisor = Advisor(delta=0.1, min_share=0.1)
         greedy = advisor.recommend(problem)
         optimal = advisor.recommend_exhaustive(problem)
         assert greedy.total_cost <= optimal.total_cost * 1.05
 
     def test_refine_online_dispatches_by_resource_count(self, oltp_dss_problem):
-        advisor = VirtualizationDesignAdvisor()
-        result = advisor.refine_online(oltp_dss_problem, max_iterations=2)
+        result = Advisor().refine(oltp_dss_problem, max_iterations=2)
         assert result.iteration_count >= 1
 
     def test_measured_improvement_uses_actuals(self, oltp_dss_problem):
-        advisor = VirtualizationDesignAdvisor()
-        recommendation = advisor.recommend(oltp_dss_problem)
-        improvement = advisor.measured_improvement(
-            oltp_dss_problem, recommendation.allocations
+        report = Advisor().recommend(oltp_dss_problem)
+        improvement = improvement_over_default(
+            oltp_dss_problem, report.allocations, ActualCostFunction(oltp_dss_problem)
         )
         assert -2.0 < improvement < 1.0

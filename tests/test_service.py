@@ -12,6 +12,7 @@ repeats drive the shared cost-cache hit rate above zero.
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -471,6 +472,23 @@ class TestHTTPServer:
         request = urllib.request.Request(server.url + "/recommend", data=b"")
         code, body = error_of(lambda: urllib.request.urlopen(request, timeout=30))
         assert code == 400 and "error" in body
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0"])
+    def test_invalid_content_length_is_400_and_closes(self, server, length):
+        # A raw socket sends the header exactly as written.
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                f"POST /recommend HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            response = b""
+            while chunk := sock.recv(4096):  # the server closes the connection
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_concurrent_mixed_endpoints_match_direct_calls(
         self,

@@ -369,27 +369,6 @@ class TestTracer:
         trace = tracer.ring.get(tracer.ring.trace_ids()[0])
         assert [child["name"] for child in trace["children"]] == ["worker-side"]
 
-    def test_capture_and_graft_ship_worker_spans(self):
-        """The process-backend round trip: capture in a worker, graft here."""
-        worker = Tracer()  # stands in for the worker process's tracer
-        with worker.capture("solve.machine", machine_index=1) as captured:
-            with worker.span("inner"):
-                pass
-        assert captured.trace["name"] == "solve.machine"
-        assert not worker.enabled  # capture restores the disabled state
-        assert len(worker.ring) == 0  # captured traces bypass the sinks
-
-        parent = Tracer()
-        parent.enable()
-        with parent.span("fleet.recommend"):
-            parent.graft(captured.trace)
-        trace = parent.ring.get(parent.ring.trace_ids()[0])
-        (grafted,) = trace["children"]
-        assert grafted["name"] == "solve.machine"
-        assert grafted["attributes"]["shipped"] is True
-        assert grafted["trace_id"] == trace["trace_id"]
-        assert [child["name"] for child in grafted["children"]] == ["inner"]
-
     def test_analysis_helpers(self):
         tracer = Tracer()
         tracer.enable()
@@ -410,7 +389,7 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestTracedPipeline:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", None), ("thread", 4), ("process", 2), ("asyncio", 4),
+        ("serial", None), ("thread", 4), ("asyncio", 4),
     ])
     def test_canonical_dict_identical_with_telemetry_on(
         self, tracer, backend, jobs
@@ -426,22 +405,6 @@ class TestTracedPipeline:
         finally:
             advisor.backend.close()
         assert traced == expected
-
-    def test_process_backend_ships_worker_spans(self, tracer):
-        problem = small_fleet()
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=2)
-        try:
-            advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-        trace = tracer.ring.get(tracer.ring.trace_ids()[-1])
-        shipped = [
-            span
-            for span in _walk(trace)
-            if span.get("attributes", {}).get("shipped")
-        ]
-        assert shipped, "no worker-side spans were grafted into the trace"
-        assert all(span["trace_id"] == trace["trace_id"] for span in shipped)
 
     def test_bnb_fleet_12x4_leaf_spans_cover_90_percent(self, tracer):
         """The ISSUE's acceptance criterion, on the paper-sized fleet."""
