@@ -1,14 +1,7 @@
-"""Placement fast-path benchmarks — speculation, local search, solve-memo.
+"""Placement fast-path benchmarks — local search and the solve-memo.
 
-Three gates over the placement fast path of :mod:`repro.fleet`:
+Two gates over the placement fast path of :mod:`repro.fleet`:
 
-* **Speculative pipelined probing** (``greedy-cost-spec``) keeps the
-  solver backend saturated across probe rounds: a round of greedy
-  placement fans out at most ``M`` probes, under-using a wider worker
-  pool, while speculation also submits the next tenants' probe rounds
-  against predicted loads.  On the 12-tenant × 4-machine fleet with the
-  RPC-shaped what-if cost function it must beat round-sequential probing
-  by a comfortable wall-clock margin — choosing the identical placement.
 * **The local-search improver** (``greedy-cost+ls``) must never return a
   costlier placement than plain greedy construction (the improvement
   rounds apply strictly-improving moves and swaps only).
@@ -24,110 +17,19 @@ import time
 
 from conftest import run_once
 
-from repro.api.strategies import COST_FUNCTIONS
 from repro.experiments.fleet import build_fleet_problem
 from repro.fleet import FleetAdvisor, FleetProblem
-from repro.parallel import SimulatedRpcWhatIfEstimator
 
 N_TENANTS = 12
 N_MACHINES = 4
-
-#: Worker-pool width for the speculation benchmark: wider than the
-#: machine count, so round-sequential probing cannot keep it busy.
-JOBS = 8
-
-#: Simulated optimizer round trip per batch evaluation (see
-#: ``test_fleet_parallel.py`` — same cost function, same latency).
-RPC_LATENCY_SECONDS = 0.01
-
-#: The speculative run must be at least this much faster than the
-#: round-sequential run on the same thread pool; measured ratio is ~1.5x,
-#: so 1.2x absorbs scheduler noise without letting a non-pipelined
-#: regression through.
-SPECULATION_GATE = 1.2
-
-if "what-if-rpc-bench" not in COST_FUNCTIONS:
-    COST_FUNCTIONS.register(
-        "what-if-rpc-bench",
-        lambda problem, **_ignored: SimulatedRpcWhatIfEstimator(
-            problem, RPC_LATENCY_SECONDS
-        ),
-    )
 
 
 def _fleet_problem() -> FleetProblem:
     base = build_fleet_problem(n_tenants=N_TENANTS, n_machines=N_MACHINES)
     data = base.to_dict()
-    # Coarse calibration grid: the one-time calibration stays cheap and
-    # the RPC latency applies to what-if calls only.
+    # Coarse calibration grid: the one-time calibration stays cheap.
     data["calibration"] = {"cpu_shares": [0.25, 0.5, 0.75, 1.0]}
     return FleetProblem.from_dict(data)
-
-
-def _solve_cold(placement: str):
-    """One cold-cache RPC-priced fleet solve on a fresh advisor, timed."""
-    advisor = FleetAdvisor(
-        delta=0.25,
-        cost_function="what-if-rpc-bench",
-        placement=placement,
-        backend="thread",
-        jobs=JOBS,
-    )
-    problem = _fleet_problem()
-    started = time.perf_counter()
-    report = advisor.recommend(problem)
-    elapsed = time.perf_counter() - started
-    advisor.backend.close()
-    return report, elapsed
-
-
-def _without_strategy(report):
-    """Canonical answer modulo the provenance label."""
-    data = report.canonical_dict()
-    data.pop("strategy", None)
-    return data
-
-
-def _sequential_vs_speculative():
-    sequential_report, sequential_seconds = _solve_cold("greedy-cost")
-    speculative_report, speculative_seconds = _solve_cold("greedy-cost-spec")
-    return (
-        sequential_report,
-        sequential_seconds,
-        speculative_report,
-        speculative_seconds,
-    )
-
-
-def test_fleet_placement_speculation_beats_round_sequential(benchmark):
-    (
-        sequential_report,
-        sequential_seconds,
-        speculative_report,
-        speculative_seconds,
-    ) = run_once(benchmark, _sequential_vs_speculative)
-
-    speedup = (
-        sequential_seconds / speculative_seconds
-        if speculative_seconds > 0
-        else float("inf")
-    )
-    print(
-        f"\nSpeculative probing — {N_TENANTS} tenants × {N_MACHINES} machines, "
-        f"{RPC_LATENCY_SECONDS * 1000:.0f} ms simulated optimizer RPC, "
-        f"thread backend, jobs={JOBS}:\n"
-        f"  round-sequential {sequential_seconds:.3f} s\n"
-        f"  speculative      {speculative_seconds:.3f} s  → {speedup:.2f}x"
-    )
-
-    # Pipelining the probe rounds is a real wall-clock win on a pool the
-    # per-round fan-out cannot fill ...
-    assert speculative_seconds * SPECULATION_GATE < sequential_seconds
-    # ... and discarded mispredictions never change the answer.
-    assert _without_strategy(speculative_report) == (
-        _without_strategy(sequential_report)
-    )
-    assert speculative_report.strategy == "greedy-cost-spec"
 
 
 def _greedy_vs_local_search():

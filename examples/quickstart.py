@@ -32,8 +32,7 @@ def main() -> None:
     # The advisor service defaults to the paper's pipeline: greedy
     # enumeration over the calibrated what-if cost estimator.  Strategies
     # are pluggable — try Advisor(enumerator="exhaustive-dp") for the exact
-    # grid optimum (a dynamic program; "exhaustive" is the brute-force
-    # cross-check) or Advisor(cost_function="actual").
+    # grid optimum (a dynamic program) or Advisor(cost_function="actual").
     advisor = Advisor()
     report = advisor.recommend(problem)
 

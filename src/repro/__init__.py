@@ -52,7 +52,7 @@ Quick start::
         print(tenant.name, tenant.cpu_share, tenant.memory_fraction)
     print(report.to_json(indent=2))
 
-Strategies are pluggable by name — ``Advisor(enumerator="exhaustive")``,
+Strategies are pluggable by name — ``Advisor(enumerator="exhaustive-dp")``,
 ``Advisor(cost_function="actual")`` — or by instance; whole scenarios can be
 defined as data via :meth:`repro.api.Scenario.from_dict`.
 """

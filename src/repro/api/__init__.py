@@ -10,7 +10,7 @@ around the paper's pipeline (Figure 3) as three layers:
   data (``from_dict`` / ``from_json``).
 * **Pluggable strategies** — :class:`Advisor` accepts each pipeline stage
   as an instance or a registered name (``enumerator="greedy"`` /
-  ``"exhaustive"``, ``cost_function="what-if"`` / ``"actual"``,
+  ``"exhaustive-dp"``, ``cost_function="what-if"`` / ``"actual"``,
   ``refinement="basic"`` / ``"generalized"``); the registries in
   :mod:`repro.api.strategies` are open for extension.  A shared
   :class:`~repro.api.cache.CostCache` answers repeated what-if questions

@@ -13,7 +13,7 @@ re-built problems) never pay for the same optimizer call twice.
     report = advisor.recommend(problem)      # -> RecommendationReport
     report.to_json()
 
-    Advisor(enumerator="exhaustive")         # optimal-baseline search
+    Advisor(enumerator="exhaustive-dp")      # optimal-baseline search
     Advisor(cost_function="actual")          # ground-truth measurement
     Advisor(refinement="generalized")        # force a refinement procedure
 
@@ -33,11 +33,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core.advisor import Recommendation
 from ..core.dynamic import DynamicConfigurationManager
-from ..core.enumerator import (
-    DynamicProgrammingSearch,
-    EnumerationResult,
-    ExhaustiveSearch,
-)
+from ..core.enumerator import DynamicProgrammingSearch, EnumerationResult
 from ..core.problem import (
     ResourceAllocation,
     UNLIMITED_DEGRADATION,
@@ -83,7 +79,7 @@ class Advisor:
     Args:
         enumerator: an :class:`EnumerationStrategy` instance or a name
             registered in :data:`~repro.api.strategies.ENUMERATORS`
-            (``"greedy"``, ``"exhaustive"``, ``"exhaustive-dp"``).
+            (``"greedy"``, ``"exhaustive-dp"``).
         cost_function: a cost-function instance (bound to one problem) or a
             name registered in :data:`~repro.api.strategies.COST_FUNCTIONS`
             (``"what-if"``, ``"actual"``).  Named cost functions are built
@@ -94,7 +90,6 @@ class Advisor:
             number of controlled resources (the paper's rule).
         delta / min_share / max_iterations: enumeration knobs, forwarded to
             named enumerator factories.
-        max_combinations: grid budget forwarded to ``"exhaustive"``.
         shared_caches: optional externally-owned cache pool (strategy name →
             :class:`~repro.api.cache.CostCache`).  Several advisors given
             the *same* pool answer each other's what-if questions — the
@@ -111,13 +106,11 @@ class Advisor:
         delta: float = 0.05,
         min_share: float = 0.05,
         max_iterations: int = 500,
-        max_combinations: int = 2_000_000,
         shared_caches: Optional[Dict[str, CostCache]] = None,
     ) -> None:
         self.delta = delta
         self.min_share = min_share
         self.max_iterations = max_iterations
-        self.max_combinations = max_combinations
         self.enumerator = enumerator  # property: resolves names, tracks provenance
         self._cost_function_spec = cost_function
         self._refinement_spec = refinement
@@ -163,7 +156,6 @@ class Advisor:
                 delta=self.delta,
                 min_share=self.min_share,
                 max_iterations=self.max_iterations,
-                max_combinations=self.max_combinations,
             )
         # Accept any object with an enumerate() method: the Protocol's
         # delta/min_share members are conveniences some strategies expose,
@@ -344,41 +336,24 @@ class Advisor:
         problem: VirtualizationDesignProblem,
         cost_function: Optional[CostFunctionSpec] = None,
         delta: Optional[float] = None,
-        max_combinations: Optional[int] = None,
-        method: str = "exhaustive-dp",
     ) -> RecommendationReport:
         """Recommend by optimal grid search (the paper's exhaustive baseline).
 
-        ``method="exhaustive-dp"`` (the default) computes the optimum with
-        the exact dynamic program, which has no combination budget;
-        ``method="exhaustive"`` walks the brute-force cartesian product
-        (bounded by ``max_combinations``) for cross-checking.
+        The optimum comes from the exact dynamic program
+        (:class:`~repro.core.enumerator.DynamicProgrammingSearch`), which
+        has no combination budget; the report's provenance names it
+        ``"exhaustive-dp"``.
         """
         grid_delta = (
             delta if delta is not None else getattr(self.enumerator, "delta", self.delta)
         )
-        grid_min_share = getattr(self.enumerator, "min_share", self.min_share)
-        if method == "exhaustive":
-            search: EnumerationStrategy = ExhaustiveSearch(
-                delta=grid_delta,
-                min_share=grid_min_share,
-                max_combinations=(
-                    max_combinations if max_combinations is not None
-                    else self.max_combinations
-                ),
-            )
-        elif method == "exhaustive-dp":
-            search = DynamicProgrammingSearch(
-                delta=grid_delta, min_share=grid_min_share
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown optimal-search method {method!r}; "
-                f"expected 'exhaustive-dp' or 'exhaustive'"
-            )
+        search = DynamicProgrammingSearch(
+            delta=grid_delta,
+            min_share=getattr(self.enumerator, "min_share", self.min_share),
+        )
         report = self.recommend(problem, cost_function=cost_function, enumerator=search)
         provenance = StrategyProvenance(
-            enumerator=method,
+            enumerator="exhaustive-dp",
             cost_function=report.provenance.cost_function,
             refinement=None,
             options=report.provenance.options,

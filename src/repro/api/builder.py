@@ -55,8 +55,9 @@ DEFAULT_CALIBRATION_SETTINGS = CalibrationSettings(
     cpu_shares=(0.2, 0.4, 0.6, 0.8, 1.0)
 )
 
-#: Bound on memoized spec materializations (mirrors the fleet advisor's
-#: tenant memo; eviction only costs re-evaluation, never correctness).
+#: Bound on memoized spec materializations (the fleet advisor's tenant
+#: materializations go through it; eviction only costs re-evaluation,
+#: never correctness).
 _CONSOLIDATED_MEMO_SIZE = 4096
 
 #: One workload statement, in any of the accepted spellings:

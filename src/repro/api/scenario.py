@@ -54,7 +54,6 @@ _ADVISOR_KEYS = (
     "delta",
     "min_share",
     "max_iterations",
-    "max_combinations",
 )
 
 

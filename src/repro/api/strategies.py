@@ -6,11 +6,10 @@ questions, and a *refinement* procedure correcting the cost model online.
 The seed code hard-wired concrete classes; this module extracts the
 interfaces as :class:`typing.Protocol`\\ s and provides string-keyed
 registries so :class:`repro.api.Advisor` can accept either instances or
-names (``"greedy"``, ``"exhaustive"``, ``"exhaustive-dp"``, ``"what-if"``,
-``"actual"``, ``"basic"``, ``"generalized"``), and downstream code can
-register its own strategies without touching the advisor.  The
-``"exhaustive-dp"`` search finds the same optimum as ``"exhaustive"`` via
-an exact dynamic program; the brute force is kept for cross-checking.
+names (``"greedy"``, ``"exhaustive-dp"``, ``"what-if"``, ``"actual"``,
+``"basic"``, ``"generalized"``), and downstream code can register its own
+strategies without touching the advisor.  ``"exhaustive-dp"`` is the exact
+grid search: a dynamic program that finds the brute-force optimum.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from ..core.cost_estimator import (
 from ..core.enumerator import (
     DynamicProgrammingSearch,
     EnumerationResult,
-    ExhaustiveSearch,
     GreedyConfigurationEnumerator,
 )
 from ..core.problem import ResourceAllocation, VirtualizationDesignProblem
@@ -170,17 +168,6 @@ def _make_greedy(
     )
 
 
-def _make_exhaustive(
-    delta: float = 0.05,
-    min_share: float = 0.05,
-    max_combinations: int = 2_000_000,
-    **_ignored: Any,
-) -> ExhaustiveSearch:
-    return ExhaustiveSearch(
-        delta=delta, min_share=min_share, max_combinations=max_combinations
-    )
-
-
 def _make_exhaustive_dp(
     delta: float = 0.05,
     min_share: float = 0.05,
@@ -232,7 +219,6 @@ def _make_generalized_refinement(
 
 
 ENUMERATORS.register("greedy", _make_greedy)
-ENUMERATORS.register("exhaustive", _make_exhaustive)
 ENUMERATORS.register("exhaustive-dp", _make_exhaustive_dp)
 COST_FUNCTIONS.register("what-if", _make_what_if)
 COST_FUNCTIONS.register("actual", _make_actual)

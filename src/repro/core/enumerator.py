@@ -489,9 +489,9 @@ class GreedyConfigurationEnumerator:
 class ExhaustiveSearch:
     """Brute-force grid enumeration of every feasible allocation.
 
-    Kept as the cross-check baseline for :class:`DynamicProgrammingSearch`,
+    Kept as the tests' reference for :class:`DynamicProgrammingSearch`,
     which finds the same optimum without walking the ``O(units^(2N))``
-    cartesian product.
+    cartesian product; it is not a registered enumerator.
     """
 
     def __init__(

@@ -109,13 +109,15 @@ class ConsolidatedWorkload:
     gain_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.degradation_limit < 1.0:
+        # Written so that NaN fails both checks; an infinite degradation
+        # limit is UNLIMITED_DEGRADATION, an infinite gain factor is not.
+        if not self.degradation_limit >= 1.0:
             raise ConfigurationError(
                 f"degradation_limit must be at least 1, got {self.degradation_limit}"
             )
-        if self.gain_factor < 1.0:
+        if not 1.0 <= self.gain_factor < math.inf:
             raise ConfigurationError(
-                f"gain_factor must be at least 1, got {self.gain_factor}"
+                f"gain_factor must be finite and at least 1, got {self.gain_factor}"
             )
         if self.workload.database != self.calibration.engine.database.name:
             raise ConfigurationError(

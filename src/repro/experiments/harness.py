@@ -17,7 +17,7 @@ from ..api.report import RecommendationReport
 from ..calibration import CalibrationSettings
 from ..calibration.calibrator import EngineCalibration
 from ..core.cost_estimator import CostFunction
-from ..core.enumerator import DynamicProgrammingSearch, ExhaustiveSearch
+from ..core.enumerator import DynamicProgrammingSearch
 from ..core.problem import (
     CPU,
     ConsolidatedWorkload,
@@ -30,7 +30,7 @@ from ..core.problem import (
 from ..dbms.catalog import Database
 from ..dbms.interface import DatabaseEngine
 from ..dbms.query import QuerySpec
-from ..exceptions import ConfigurationError, OptimizationError
+from ..exceptions import OptimizationError
 from ..monitoring.metrics import improvement_over_default
 from ..virt.machine import PhysicalMachine
 from ..workloads.workload import Workload
@@ -170,41 +170,23 @@ class ExperimentContext:
         problem: VirtualizationDesignProblem,
         cost_function: CostFunction,
         delta: float = 0.05,
-        max_combinations: int = 500_000,
-        method: str = "exhaustive-dp",
     ) -> Tuple[ResourceAllocation, ...]:
-        """The best allocation found by optimal grid search, if tractable.
+        """The best allocation found by optimal grid search, if feasible.
 
-        The default ``"exhaustive-dp"`` method computes the exact grid
-        optimum with the dynamic program of
+        Computes the exact grid optimum with the dynamic program of
         :class:`~repro.core.enumerator.DynamicProgrammingSearch`, which has
         no combination budget, so the figure benchmarks get the true
-        baseline at the requested ``delta``.  ``method="exhaustive"`` walks
-        the brute-force cartesian product (bounded by ``max_combinations``,
-        coarsening the grid when it would blow past the budget) for
-        cross-checking.  If no grid is feasible the method falls back to
-        greedy search over the same cost function (which Section 4.5 shows
-        to be within a few percent of optimal).
+        baseline at the requested ``delta``.  If no grid is feasible the
+        method falls back to greedy search over the same cost function
+        (which Section 4.5 shows to be within a few percent of optimal).
         """
-        if method not in ("exhaustive-dp", "exhaustive"):
-            raise ConfigurationError(
-                f"unknown optimal-search method {method!r}; "
-                f"expected 'exhaustive-dp' or 'exhaustive'"
-            )
         for grid in (delta, 0.1, 0.2):
             if round(1.0 / grid) < 2 * problem.n_workloads:
                 # Too coarse: some workload would be starved of a resource
                 # entirely, which is never the optimal configuration.
                 continue
             try:
-                if method == "exhaustive":
-                    search = ExhaustiveSearch(
-                        delta=grid,
-                        min_share=grid,
-                        max_combinations=max_combinations,
-                    )
-                else:
-                    search = DynamicProgrammingSearch(delta=grid, min_share=grid)
+                search = DynamicProgrammingSearch(delta=grid, min_share=grid)
                 return search.search(problem, cost_function).allocations
             except OptimizationError:
                 continue

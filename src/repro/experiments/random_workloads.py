@@ -61,7 +61,6 @@ def _allocation_experiment(
     multi_resource: bool,
     compute_optimal: bool,
     optimal_delta: float = 0.05,
-    optimal_method: str = "exhaustive-dp",
 ) -> RandomWorkloadResult:
     """Shared driver: add workloads one at a time and re-run the advisor."""
     cpu_history: Dict[str, List[float]] = {w.name: [] for w in workloads}
@@ -97,9 +96,7 @@ def _allocation_experiment(
             context.measured_improvement(problem, recommendation.allocations, actuals)
         )
         if compute_optimal:
-            optimal = context.best_effort_optimal(
-                problem, actuals, delta=optimal_delta, method=optimal_method
-            )
+            optimal = context.best_effort_optimal(problem, actuals, delta=optimal_delta)
             optimal_improvements.append(
                 context.measured_improvement(problem, optimal, actuals)
             )
@@ -133,7 +130,6 @@ def postgresql_tpch_cpu_experiment(
     seed: int = 7,
     scale: float = 10.0,
     compute_optimal: bool = True,
-    optimal_method: str = "exhaustive-dp",
 ) -> RandomWorkloadResult:
     """Figures 21 and 24: random Q17 / modified-Q18 workloads on PostgreSQL."""
     queries = context.queries("postgresql", "tpch", scale)
@@ -151,7 +147,6 @@ def postgresql_tpch_cpu_experiment(
         workload_counts=workload_counts,
         multi_resource=False,
         compute_optimal=compute_optimal,
-        optimal_method=optimal_method,
     )
 
 
@@ -206,7 +201,6 @@ def db2_multi_resource_experiment(
     seed: int = 13,
     compute_optimal: bool = True,
     optimal_delta: float = 0.1,
-    optimal_method: str = "exhaustive-dp",
 ) -> RandomWorkloadResult:
     """Figures 25–27: CPU and memory allocation for random DB2 workloads."""
     sf10_queries = context.queries("db2", "tpch", 10.0)
@@ -231,5 +225,4 @@ def db2_multi_resource_experiment(
         multi_resource=True,
         compute_optimal=compute_optimal,
         optimal_delta=optimal_delta,
-        optimal_method=optimal_method,
     )

@@ -41,14 +41,13 @@ from ..api.advisor import Advisor
 from ..api.builder import ProblemBuilder
 from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
-from ..core.problem import ConsolidatedWorkload, VirtualizationDesignProblem
+from ..core.problem import VirtualizationDesignProblem
 from ..exceptions import ConfigurationError, OptimizationError, PlacementError
 from ..parallel.backends import (
     BACKENDS,
     BackendSpec,
     SolveTask,
     SolverBackend,
-    TaskHandle,
     resolve_backend,
 )
 from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
@@ -63,11 +62,11 @@ _BuilderKey = Tuple[Tuple[float, float, int], Tuple[Tuple[str, Any], ...]]
 
 PlacementSpec = Union[str, PlacementStrategy]
 
-#: Bounds on the fleet advisor's memoized objects.  Eviction never affects
-#: correctness — a re-materialized workload merely re-prices allocations the
-#: shared cost cache no longer recognizes — and the bounds comfortably cover
-#: a greedy-cost run (~tenants × machines problems per fleet).
-_TENANT_MEMO_SIZE = 4096
+#: Bound on the fleet advisor's memoized design problems.  Eviction never
+#: affects correctness — a re-materialized problem merely re-prices
+#: allocations the shared cost cache no longer recognizes — and the bound
+#: comfortably covers a greedy-cost run (~tenants × machines problems per
+#: fleet).
 _PROBLEM_MEMO_SIZE = 1024
 
 #: The accounting a memo-served solve contributes: no evaluations, no
@@ -152,7 +151,23 @@ class _FleetSolver:
         """Capacity check, including the minimum-share tenant bound."""
         return self.problem.fits(machine_index, tenant_indices, self.max_tenants)
 
-    def machine_cost(
+    def machine_costs(
+        self, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
+    ) -> List[float]:
+        """Price several candidate co-locations, fanned out on the backend.
+
+        ``candidates`` is a sequence of ``(machine_index, tenant_indices)``
+        pairs; the returned costs align with it.  On the serial backend
+        this is exactly a loop of :meth:`_machine_cost` calls, so answers
+        (and tie-breaks downstream) are identical across backends.
+        """
+        tasks = [
+            self._task(machine_index, tenant_indices, probe=True)
+            for machine_index, tenant_indices in candidates
+        ]
+        return self.backend.run(tasks)
+
+    def _machine_cost(
         self, machine_index: int, tenant_indices: Tuple[int, ...]
     ) -> float:
         """Gain-weighted cost of a machine hosting ``tenant_indices``.
@@ -171,39 +186,6 @@ class _FleetSolver:
             PROBE_LATENCY.observe(time.perf_counter() - started)
             PLACEMENT_PROBES.inc()
         return weighted
-
-    def machine_costs(
-        self, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
-    ) -> List[float]:
-        """Price several candidate co-locations, fanned out on the backend.
-
-        ``candidates`` is a sequence of ``(machine_index, tenant_indices)``
-        pairs; the returned costs align with it.  On the serial backend
-        this is exactly a loop of :meth:`machine_cost` calls, so answers
-        (and tie-breaks downstream) are identical across backends.
-        """
-        tasks = [
-            self._task(machine_index, tenant_indices, probe=True)
-            for machine_index, tenant_indices in candidates
-        ]
-        return self.backend.run(tasks)
-
-    def submit_probe(self, machine_index: int, tenant_indices: Tuple[int, ...]):
-        """Enqueue one probe now; collect its cost from the handle later.
-
-        The primitive behind speculative pipelined probing (see
-        :func:`~repro.fleet.strategies.greedy_assign`): probes for future
-        decision rounds keep the backend's pool saturated while the caller
-        blocks only on the current round.  On backends without ``submit``
-        (and on the serial backend, whose ``submit`` is deliberately lazy)
-        the returned handle computes on first ``result()`` call, so
-        speculation never costs more than the non-speculative path.
-        """
-        task = self._task(machine_index, tenant_indices, probe=True)
-        submit = getattr(self.backend, "submit", None)
-        if submit is None:
-            return TaskHandle(task.call)
-        return submit(task)
 
     # ------------------------------------------------------------------
     # Per-machine solves
@@ -253,7 +235,7 @@ class _FleetSolver:
         self, machine_index: int, tenant_indices: Tuple[int, ...], probe: bool
     ) -> SolveTask:
         """One probe (a cost) or committed solve (report and cost) as a task."""
-        method = self.machine_cost if probe else self.solve
+        method = self._machine_cost if probe else self.solve
         return SolveTask(call=lambda: method(machine_index, tenant_indices))
 
 
@@ -296,14 +278,16 @@ class FleetAdvisor:
         self.backend = resolve_backend(backend, jobs)
         self.placement = placement  # property: resolves names, tracks provenance
         #: One calibrated builder per distinct hardware shape (+ overrides).
+        #: Each builder memoizes its consolidated workloads by tenant-spec
+        #: value, so re-materializing a tenant returns the same object.
         self._builders: Dict[_BuilderKey, ProblemBuilder] = {}
-        #: Memoized consolidated workloads and design problems, keyed by
-        #: value (hardware, tenant spec, resources) so re-materializing the
-        #: same machine/tenant set returns identical objects and the inner
-        #: advisor's shared cost cache keeps answering for them.  Both are
-        #: LRU-bounded so a long-lived advisor serving many distinct fleets
-        #: cannot grow without limit (mirroring the inner advisor's bounds).
-        self._tenant_memo: "OrderedDict[Any, ConsolidatedWorkload]" = OrderedDict()
+        #: Memoized design problems, keyed by value (hardware, tenant specs,
+        #: resources) so re-materializing the same machine/tenant set
+        #: returns the identical object — the inner advisor's cost-function
+        #: memo keys on problem identity, so its shared cost cache keeps
+        #: answering for it.  LRU-bounded so a long-lived advisor serving
+        #: many distinct fleets cannot grow without limit (mirroring the
+        #: inner advisor's bounds).
         self._problem_memo: "OrderedDict[Any, VirtualizationDesignProblem]" = (
             OrderedDict()
         )
@@ -314,12 +298,12 @@ class FleetAdvisor:
         #: repeated placement probe or committed division is one dictionary
         #: lookup (it has its own lock; see :mod:`repro.fleet.solve_memo`).
         self.solve_memo = SolveMemo(DEFAULT_SOLVE_MEMO_SIZE)
-        #: Guards the builder map and both memos.  Concurrent per-machine
-        #: solves (thread backend) materialize problems through one fleet
-        #: advisor; the reentrant lock keeps the check-then-create chains
-        #: (problem memo → tenant memo → builder) atomic so value-equal
-        #: requests always return the *same* objects — the identity the
-        #: shared cost cache answers for.
+        #: Guards the builder map and the problem memo.  Concurrent
+        #: per-machine solves (thread backend) materialize problems through
+        #: one fleet advisor; the reentrant lock keeps the check-then-create
+        #: chain (problem memo → builder) atomic so value-equal requests
+        #: always return the *same* objects — the identity the shared cost
+        #: cache answers for.
         self._memo_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -375,24 +359,6 @@ class FleetAdvisor:
                 self._builders[key] = builder
             return builder
 
-    def _consolidated(
-        self, problem: FleetProblem, machine: Machine, tenant_index: int
-    ) -> ConsolidatedWorkload:
-        """The (memoized) consolidated workload of one tenant on one hardware."""
-        tenant = problem.tenants[tenant_index]
-        key = (self._builder_key(machine, problem), tenant.spec)
-        with self._memo_lock:
-            memoized = self._tenant_memo.get(key)
-            if memoized is not None:
-                self._tenant_memo.move_to_end(key)
-                return memoized
-            builder = self._builder_for(machine, problem)
-            consolidated = builder.consolidated(tenant.spec)
-            self._tenant_memo[key] = consolidated
-            while len(self._tenant_memo) > _TENANT_MEMO_SIZE:
-                self._tenant_memo.popitem(last=False)
-            return consolidated
-
     def _design_problem(
         self,
         problem: FleetProblem,
@@ -412,11 +378,9 @@ class FleetAdvisor:
             if memoized is not None:
                 self._problem_memo.move_to_end(key)
                 return memoized
-            tenants = tuple(
-                self._consolidated(problem, machine, index) for index in tenant_indices
-            )
+            builder = self._builder_for(machine, problem)
             design = VirtualizationDesignProblem(
-                tenants=tenants,
+                tenants=tuple(builder.consolidated(spec) for spec in specs),
                 resources=problem.resources,
                 fixed_memory_fraction=problem.fixed_memory_fraction,
             )
@@ -507,7 +471,6 @@ class FleetAdvisor:
         """Drop the calibrated builders, memoized problems, and cost caches."""
         with self._memo_lock:
             self._builders.clear()
-            self._tenant_memo.clear()
             self._problem_memo.clear()
         self.solve_memo.clear()
         self.advisor.clear_caches()

@@ -68,7 +68,6 @@ from .strategies import (
     LocalSearchPlacement,
     PlacementSolver,
     PlacementStrategy,
-    _price_candidates,
     _unplaceable,
 )
 
@@ -156,7 +155,7 @@ def best_alone_costs(
         for machine_index in range(problem.n_machines):
             if solver.fits(machine_index, (tenant_index,)):
                 candidates.append((machine_index, (tenant_index,)))
-    priced = dict(zip(candidates, _price_candidates(solver, candidates)))
+    priced = dict(zip(candidates, solver.machine_costs(candidates)))
     best: List[float] = []
     for tenant_index in range(problem.n_tenants):
         fitting = [
@@ -487,7 +486,7 @@ class BranchAndBoundPlacement:
                     None if math.isinf(incumbent_cost) else incumbent_cost
                 ),
             )
-        costs = _price_candidates(solver, children)
+        costs = solver.machine_costs(children)
 
         # Bound each child; order survivors best-bound-first so tight
         # incumbents appear early and prune the rest.  The order affects
@@ -580,7 +579,7 @@ class BranchAndBoundPlacement:
             for machine_index, load in enumerate(per_machine)
             if load
         ]
-        return sum(_price_candidates(solver, occupied))
+        return sum(solver.machine_costs(occupied))
 
 
 def count_assignments(problem: FleetProblem) -> int:
@@ -620,7 +619,7 @@ def enumerate_completions(
         ]
         if not all(solver.fits(machine_index, load) for machine_index, load in keys):
             continue
-        cost = sum(_price_candidates(solver, keys))
+        cost = sum(solver.machine_costs(keys))
         if not math.isinf(cost):
             completions.append((tuple(assignment), cost))
     return completions

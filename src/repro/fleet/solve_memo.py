@@ -24,7 +24,7 @@ the search either.
 
 The memo follows the fleet advisor's house rules for memoized state: a
 single lock guards every access (probes arrive concurrently from the
-thread/asyncio backends), it is LRU-bounded like the tenant/problem memos
+thread/asyncio backends), it is LRU-bounded like the problem memo
 (eviction never affects correctness — an evicted entry is simply re-solved
 through the cost cache), and it keeps hit/miss counters that surface as
 ``placement_solve_hits`` in :class:`~repro.api.report.CostCallStats` and

@@ -108,9 +108,8 @@ class AsyncioBackend:
 
         Submission goes straight to the executor (no event loop needed):
         the ``jobs``-wide executor bounds concurrency exactly as the
-        per-batch semaphore does, and the synchronous handle lets the
-        speculative-probing driver — which runs outside any loop — overlap
-        work the same way it does on the thread backend.
+        per-batch semaphore does, and the synchronous handle works from
+        outside any loop, as it does on the thread backend.
         """
         return FutureTaskHandle(
             self._ensure_executor().submit(get_tracer().bind(task.call))

@@ -28,16 +28,12 @@ objects: a task is a closure, and its side effects (cache traffic, trace
 spans) land where the caller can see them.
 
 Besides the batch-with-a-barrier :meth:`SolverBackend.run`, every built-in
-backend offers :meth:`SolverBackend.submit`: enqueue *one* task now,
-collect its result later via the returned :class:`TaskHandle`.  This is
-the primitive behind speculative pipelined placement probing
-(``docs/parallel.md``): a driver can keep the pool saturated with probes
-for *future* decision rounds while it blocks only on the current round's
-handles.  On pooled backends a submitted task starts immediately; on the
-serial backend the handle is *lazy* — the task runs on first
-:meth:`TaskHandle.result` call, so speculation costs a serial run nothing.
-Custom backends may omit ``submit``; drivers fall back to lazy inline
-handles (correct, just without the overlap).
+backend keeps ``submit(task)``: enqueue *one* task now, collect its result
+later via the returned :class:`TaskHandle`.  On pooled backends a
+submitted task starts immediately; on the serial backend the handle is
+*lazy* — the task runs on first :meth:`TaskHandle.result` call.  Nothing
+in :mod:`repro` calls ``submit``; it stays because the repository
+benchmark's traced mode wraps each built-in backend's ``submit`` by name.
 """
 
 from __future__ import annotations
@@ -70,10 +66,8 @@ class SolveTask:
 class TaskHandle:
     """Deferred result of one submitted task: the task runs on demand.
 
-    The base class is the *lazy* handle (used by the serial backend and as
-    the fallback for custom backends without ``submit``): nothing executes
-    until :meth:`result` is first called, so a driver that speculatively
-    submits work it ends up not needing pays nothing for it.  Pooled
+    The base class is the *lazy* handle the serial backend returns:
+    nothing executes until :meth:`result` is first called.  Pooled
     backends return :class:`FutureTaskHandle` instead, whose task started
     executing at submission.
     """
@@ -110,9 +104,8 @@ class SolverBackend(Protocol):
     """Executes a batch of independent solve tasks.
 
     Built-in backends additionally offer ``submit(task) -> TaskHandle``
-    (enqueue one task, collect later); drivers must treat it as optional
-    and fall back to lazy :class:`TaskHandle`\\ s when a custom backend
-    lacks it.
+    (enqueue one task, collect later); it is not part of the protocol, and
+    nothing in :mod:`repro` calls it.
     """
 
     name: str
@@ -160,12 +153,7 @@ class SerialBackend:
         return [task.call() for task in tasks]
 
     def submit(self, task: SolveTask) -> TaskHandle:
-        """A lazy handle: the task runs on first ``result()`` call.
-
-        Laziness is what makes speculative submission free on the serial
-        backend — a speculative probe whose prediction missed is never
-        executed at all.
-        """
+        """A lazy handle: the task runs on first ``result()`` call."""
         return TaskHandle(task.call)
 
     def close(self) -> None:

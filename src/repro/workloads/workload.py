@@ -10,6 +10,7 @@ give it more resources.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Tuple
 
@@ -21,6 +22,14 @@ from ..exceptions import WorkloadError
 DEFAULT_MONITORING_INTERVAL_SECONDS = 1800.0
 
 
+def _check_scale_factor(factor: float) -> None:
+    """Reject negative, infinite and NaN intensity scale factors."""
+    if not 0 <= factor < math.inf:
+        raise WorkloadError(
+            f"scale factor must be finite and not negative, got {factor}"
+        )
+
+
 @dataclass(frozen=True)
 class WorkloadStatement:
     """One statement of a workload with its frequency of occurrence."""
@@ -29,15 +38,16 @@ class WorkloadStatement:
     frequency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.frequency < 0:
+        # Written so that NaN fails the check too.
+        if not 0 <= self.frequency < math.inf:
             raise WorkloadError(
-                f"statement frequency must not be negative, got {self.frequency}"
+                f"statement frequency must be finite and not negative, "
+                f"got {self.frequency}"
             )
 
     def scaled(self, factor: float) -> "WorkloadStatement":
         """Return a copy with the frequency multiplied by ``factor``."""
-        if factor < 0:
-            raise WorkloadError("scale factor must not be negative")
+        _check_scale_factor(factor)
         return replace(self, frequency=self.frequency * factor)
 
 
@@ -119,8 +129,7 @@ class Workload:
         Scaling a workload models a change in its *intensity* (arrival rate)
         without changing the nature of its queries.
         """
-        if factor < 0:
-            raise WorkloadError("scale factor must not be negative")
+        _check_scale_factor(factor)
         return Workload(
             name=name or self.name,
             statements=tuple(stmt.scaled(factor) for stmt in self.statements),

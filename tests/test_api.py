@@ -7,7 +7,9 @@ on an unchanged problem performs zero additional cost-estimator
 evaluations.
 """
 
+import copy
 import json
+import math
 
 import pytest
 
@@ -25,14 +27,17 @@ from repro.api import (
     UnknownStrategyError,
 )
 from repro.core.cost_estimator import WhatIfCostEstimator
-from repro.core.enumerator import ExhaustiveSearch, GreedyConfigurationEnumerator
+from repro.core.enumerator import (
+    DynamicProgrammingSearch,
+    GreedyConfigurationEnumerator,
+)
 from repro.core.problem import (
     CPU,
     ConsolidatedWorkload,
     UNLIMITED_DEGRADATION,
     VirtualizationDesignProblem,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.workloads.workload import Workload, WorkloadStatement
 
 #: A small CPU-only scenario used across the advisor tests: one CPU-hungry
@@ -233,13 +238,36 @@ class TestScenario:
             mismatched_machine.to_builder(builder)
 
 
+#: Non-finite tenant inputs a scenario document can carry (Python's JSON
+#: parser accepts ``NaN`` and ``Infinity``): each must be rejected.
+NON_FINITE_TENANT_INPUTS = [
+    pytest.param({"statements": [["q18", math.nan]]}, id="frequency-nan"),
+    pytest.param({"statements": [["q18", math.inf]]}, id="frequency-inf"),
+    pytest.param({"gain_factor": math.nan}, id="gain-factor-nan"),
+    pytest.param({"gain_factor": math.inf}, id="gain-factor-inf"),
+    pytest.param({"degradation_limit": math.nan}, id="degradation-limit-nan"),
+]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("overrides", NON_FINITE_TENANT_INPUTS)
+    def test_rejected_instead_of_answered(self, overrides):
+        document = copy.deepcopy(SCENARIO_DICT)
+        document["tenants"][0].update(overrides)
+        with pytest.raises(ReproError):
+            scenario = Scenario.from_dict(document)
+            Advisor(**scenario.advisor).recommend(scenario.build())
+
+
 class TestStrategyRegistries:
     def test_builtin_enumerators(self):
         greedy = ENUMERATORS.create("greedy", delta=0.2, min_share=0.2)
         assert isinstance(greedy, GreedyConfigurationEnumerator)
         assert greedy.delta == 0.2
-        exhaustive = ENUMERATORS.create("exhaustive", delta=0.25)
-        assert isinstance(exhaustive, ExhaustiveSearch)
+        exhaustive = ENUMERATORS.create("exhaustive-dp", delta=0.25)
+        assert isinstance(exhaustive, DynamicProgrammingSearch)
+        # Brute force is the tests' reference for the DP, not a strategy.
+        assert "exhaustive" not in ENUMERATORS
 
     def test_builtin_cost_functions_and_refinements(self):
         assert {"actual", "what-if"} <= set(COST_FUNCTIONS.names())
@@ -528,7 +556,7 @@ class TestAdvisor:
         greedy = Advisor(enumerator="greedy", **scenario.advisor).recommend(
             scenario_problem
         )
-        exhaustive = Advisor(enumerator="exhaustive", **scenario.advisor).recommend(
+        exhaustive = Advisor(enumerator="exhaustive-dp", **scenario.advisor).recommend(
             scenario_problem
         )
         for report in (greedy, exhaustive):
@@ -538,7 +566,7 @@ class TestAdvisor:
             assert len(report.tenants) == scenario_problem.n_workloads
             json.loads(report.to_json())
         assert greedy.provenance.enumerator == "greedy"
-        assert exhaustive.provenance.enumerator == "exhaustive"
+        assert exhaustive.provenance.enumerator == "exhaustive-dp"
         # Exhaustive search is the optimal baseline on the same grid.
         assert exhaustive.total_cost <= greedy.total_cost + 1e-9
         # The CPU-hungry workload receives the larger share in both.

@@ -1,16 +1,14 @@
-"""Tests for the placement fast path (solve-memo, speculation, local search).
+"""Tests for the placement fast path (solve-memo, local search).
 
 Covers the fleet solve-memo (:mod:`repro.fleet.solve_memo`) as a unit and
 wired into :class:`~repro.fleet.FleetAdvisor` (zero new DP searches on a
 warm re-solve, ``placement_solve_hits`` accounting, infeasibility caching,
 ``clear_caches``), the ``placement_solve_hits`` round-trip through
 :class:`~repro.api.report.CostCallStats`, the submit/handle layer of the
-solver backends (laziness of the serial handle — discarded speculative
-probes never run), speculative pipelined probing's bit-identical-answer
-contract across backends, the ``greedy_assign`` fallback for custom
-solvers without ``machine_costs``, and the local-search improver and
-exhaustive baseline — including the measured greedy-vs-exact optimality
-gap that ``greedy-cost+ls`` must close.
+solver backends (laziness of the serial handle), custom solvers offering
+only the :class:`~repro.fleet.PlacementSolver` protocol, and the
+local-search improver and exhaustive baseline — including the measured
+greedy-vs-exact optimality gap that ``greedy-cost+ls`` must close.
 """
 
 import math
@@ -31,6 +29,7 @@ from repro.fleet import (
     FleetProblem,
     GreedyCostPlacement,
     LocalSearchPlacement,
+    PlacementSolver,
     SolveMemo,
     improve_assignment,
 )
@@ -40,7 +39,6 @@ from repro.parallel.backends import (
     FutureTaskHandle,
     SerialBackend,
     SolveTask,
-    TaskHandle,
     ThreadBackend,
 )
 
@@ -325,34 +323,10 @@ class TestAdvisorSolveMemo:
 
 
 # ----------------------------------------------------------------------
-# Speculative pipelined probing
+# Custom solvers: the PlacementSolver protocol is all a strategy needs
 # ----------------------------------------------------------------------
-class _CountingProbeSolver:
-    """Wraps a real solver; counts submitted vs actually executed probes."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.submitted = 0
-        self.executed = 0
-
-    def fits(self, machine_index, tenant_indices):
-        return self.inner.fits(machine_index, tenant_indices)
-
-    def machine_cost(self, machine_index, tenant_indices):
-        return self.inner.machine_cost(machine_index, tenant_indices)
-
-    def submit_probe(self, machine_index, tenant_indices):
-        self.submitted += 1
-
-        def call():
-            self.executed += 1
-            return self.inner.machine_cost(machine_index, tenant_indices)
-
-        return TaskHandle(call)
-
-
 class _MinimalSolver:
-    """A custom PlacementSolver with only the required protocol surface."""
+    """A custom PlacementSolver with only the protocol surface."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -360,67 +334,24 @@ class _MinimalSolver:
     def fits(self, machine_index, tenant_indices):
         return self.inner.fits(machine_index, tenant_indices)
 
-    def machine_cost(self, machine_index, tenant_indices):
-        return self.inner.machine_cost(machine_index, tenant_indices)
+    def machine_costs(self, candidates):
+        return self.inner.machine_costs(candidates)
 
 
-class TestSpeculativeProbing:
-    def test_discarded_speculative_probes_never_execute(self, shared_advisor):
-        problem = small_fleet()
-        shared_advisor.recommend(problem)  # warm calibrations and memo
-        solver = _CountingProbeSolver(
-            _FleetSolver(shared_advisor, problem, SerialBackend())
-        )
-        placement = GreedyCostPlacement(speculate=True)
-        assignment = placement.place(problem, solver)
-        reference = GreedyCostPlacement().place(
-            problem, _FleetSolver(shared_advisor, problem, SerialBackend())
-        )
-        assert assignment == reference
-        # Speculation over-submits by design; the lazy serial handle means
-        # only the probes the selection actually consumed ever ran.
-        assert solver.submitted > solver.executed
-        assert solver.executed > 0
-
-    def test_spec_name_and_registry(self):
-        assert GreedyCostPlacement(speculate=True).name == "greedy-cost-spec"
-        assert PLACEMENTS.create("greedy-cost-spec").speculate is True
-
-    @pytest.mark.parametrize("backend,jobs", [
-        ("thread", 4), ("asyncio", 4),
-    ])
-    def test_speculation_is_bit_identical_across_backends(
-        self, shared_advisor, backend, jobs
-    ):
-        problem = small_fleet()
-        serial_spec = shared_advisor.recommend(
-            problem, placement="greedy-cost-spec", backend="serial"
-        )
-        spec = shared_advisor.recommend(
-            problem, placement="greedy-cost-spec", backend=backend, jobs=jobs
-        )
-        assert spec.canonical_dict() == serial_spec.canonical_dict()
-
-    def test_speculation_chooses_the_greedy_answer(self, shared_advisor):
-        # Extra speculative probes never change the selection — only the
-        # provenance label differs from plain greedy-cost.
-        problem = small_fleet()
-        greedy = shared_advisor.recommend(problem, placement="greedy-cost")
-        spec = shared_advisor.recommend(problem, placement="greedy-cost-spec")
-        assert spec.placement == greedy.placement
-        assert spec.total_weighted_cost == greedy.total_weighted_cost
-        assert spec.strategy == "greedy-cost-spec"
-
-    def test_fallback_without_machine_costs_matches_full_solver(
-        self, shared_advisor
-    ):
+class TestCustomSolver:
+    @pytest.mark.parametrize(
+        "placement", ["greedy-cost", "greedy-cost+ls", "bnb-fleet", "exhaustive-fleet"]
+    )
+    def test_matches_fleet_solver(self, shared_advisor, placement):
         problem = small_fleet()
         minimal = _MinimalSolver(
             _FleetSolver(shared_advisor, problem, SerialBackend())
         )
+        assert isinstance(minimal, PlacementSolver)
         full = _FleetSolver(shared_advisor, problem, SerialBackend())
-        placement = GreedyCostPlacement()
-        assert placement.place(problem, minimal) == placement.place(problem, full)
+        assert PLACEMENTS.create(placement).place(problem, minimal) == (
+            PLACEMENTS.create(placement).place(problem, full)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +434,9 @@ class TestLocalSearch:
 
     def test_registry_names_include_the_fast_path(self):
         names = PLACEMENTS.names()
-        for name in ("greedy-cost-spec", "greedy-cost+ls", "exhaustive-fleet"):
+        for name in ("greedy-cost+ls", "exhaustive-fleet"):
             assert name in names
+        assert "greedy-cost-spec" not in names
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ repeats drive the shared cost-cache hit rate above zero.
 """
 
 import asyncio
+import copy
 import json
 import socket
 import threading
@@ -467,6 +468,15 @@ class TestHTTPServer:
             lambda: post(server, "/recommend", {"name": "x", "bogus": 1})
         )
         assert code == 400 and "bogus" in body["error"]
+
+    def test_nan_literal_is_400(self, server):
+        # json.loads accepts the non-standard NaN literal; the statement
+        # frequency check must still refuse it rather than answer.
+        document = copy.deepcopy(SCENARIO)
+        document["tenants"][0]["statements"] = [["q18", float("nan")]]
+        assert b"NaN" in json.dumps(document).encode("utf-8")
+        code, body = error_of(lambda: post(server, "/recommend", document))
+        assert code == 400 and "frequency" in body["error"]
 
     def test_empty_body_is_400(self, server):
         request = urllib.request.Request(server.url + "/recommend", data=b"")

@@ -1,5 +1,7 @@
 """Tests for the TPC-H / TPC-C schemas, templates, and workload abstraction."""
 
+import math
+
 import pytest
 
 from repro.exceptions import WorkloadError
@@ -109,6 +111,23 @@ class TestWorkload:
         scaled = workload.scaled(3.0)
         assert scaled.statement_count == 6.0
         assert scaled.queries()[0].name == "q1"
+
+    @pytest.mark.parametrize("factor", [-1.0, math.inf, math.nan])
+    def test_scaling_rejects_negative_and_non_finite_factors(
+        self, tpch_sf1_queries, factor
+    ):
+        statement = WorkloadStatement(tpch_sf1_queries["q1"], 2.0)
+        with pytest.raises(WorkloadError):
+            statement.scaled(factor)
+        with pytest.raises(WorkloadError):
+            Workload(name="w", statements=()).scaled(factor)
+
+    @pytest.mark.parametrize("frequency", [-1.0, math.inf, math.nan])
+    def test_statement_rejects_negative_and_non_finite_frequencies(
+        self, tpch_sf1_queries, frequency
+    ):
+        with pytest.raises(WorkloadError):
+            WorkloadStatement(tpch_sf1_queries["q1"], frequency)
 
     def test_combination_requires_same_database(self, tpch_sf1_queries):
         other_queries = tpch_queries(tpch_database(1.0, name="elsewhere"))
