@@ -9,17 +9,24 @@ latency histogram recorded the solve, drives a short constant-rate
 open-loop burst through :class:`repro.loadgen.LoadRunner` and checks the
 server-side counters and buckets advanced by it (and that the resulting
 ``LoadReport`` carries a populated SLO evaluation), then finishes by
-checking ``/healthz`` and ``/stats`` and sending SIGTERM, which must
-produce a clean exit.  Run from the repo
-root with ``PYTHONPATH=src python scripts/service_smoke.py``; exits 0 on
-success, 1 with a diagnostic on any failure.
+checking ``/healthz`` and ``/stats``, timing a burst of back-to-back
+warm ``/recommend`` requests on one keep-alive connection (whose median
+must stay far below the ~40 ms a Nagle / delayed-ACK stall costs), and
+sending SIGTERM, which must produce a clean exit.  The server runs with
+its default backend.  Run from the repo root with
+``PYTHONPATH=src python scripts/service_smoke.py``; exits 0 on success,
+1 with a diagnostic on any failure.
 """
 
+import http.client
 import json
 import re
 import signal
+import statistics
 import subprocess
 import sys
+import time
+import urllib.parse
 import urllib.request
 
 from repro.experiments.fleet import build_fleet_problem
@@ -39,6 +46,11 @@ BURST_DURATION_SECONDS = 2.0
 #: A deliberately loose SLO — the burst asserts the *plumbing* (SLIs
 #: measured, objectives evaluated, scrape correlated), not performance.
 BURST_SLO = SloSpec(p95_seconds=30.0, max_error_rate=0.0)
+
+#: Back-to-back warm /recommend requests on one keep-alive connection,
+#: and the ceiling on their median round trip.
+KEEP_ALIVE_REQUESTS = 20
+KEEP_ALIVE_MEDIAN_CEILING_SECONDS = 0.020
 
 #: The scenario the burst POSTs to /recommend.
 BURST_SCENARIO = {
@@ -92,6 +104,30 @@ def post(url: str, document: dict) -> dict:
         return json.loads(response.read())
 
 
+def keep_alive_round_trips(base: str, document: dict) -> list:
+    """Seconds per back-to-back POST /recommend on one connection."""
+    address = urllib.parse.urlsplit(base)
+    connection = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=READ_TIMEOUT_SECONDS
+    )
+    body = json.dumps(document).encode("utf-8")
+    seconds = []
+    try:
+        for _ in range(KEEP_ALIVE_REQUESTS):
+            started = time.perf_counter()
+            connection.request(
+                "POST", "/recommend", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            response.read()
+            seconds.append(time.perf_counter() - started)
+            assert response.status == 200, f"/recommend -> {response.status}"
+    finally:
+        connection.close()
+    return seconds
+
+
 def main() -> int:
     document = fleet_document()
     print(f"solving {N_TENANTS} tenants x {N_MACHINES} machines directly ...")
@@ -100,8 +136,7 @@ def main() -> int:
     direct = FleetAdvisor().recommend(FleetProblem.from_dict(document))
 
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--backend", "asyncio", "--jobs", "4"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         stderr=subprocess.PIPE,
         text=True,
     )
@@ -190,6 +225,17 @@ def main() -> int:
         summary = stats["latency_summary"]
         assert summary["recommend"]["count"] == report.completed, summary
         assert summary["recommend"]["p95_seconds"] is not None, summary
+
+        # The burst above warmed the scenario, so these are all cache hits.
+        seconds = keep_alive_round_trips(base, BURST_SCENARIO)
+        median = statistics.median(seconds)
+        assert median < KEEP_ALIVE_MEDIAN_CEILING_SECONDS, (
+            f"keep-alive /recommend median {1000 * median:.1f} ms "
+            f"(ceiling {1000 * KEEP_ALIVE_MEDIAN_CEILING_SECONDS:.0f} ms): "
+            f"{[round(1000 * value, 2) for value in seconds]}"
+        )
+        print(f"keep-alive burst OK: {KEEP_ALIVE_REQUESTS} back-to-back "
+              f"requests, median {1000 * median:.2f} ms")
 
         server.send_signal(signal.SIGTERM)
         code = server.wait(timeout=30)

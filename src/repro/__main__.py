@@ -30,12 +30,13 @@ document and writing the corresponding JSON report to stdout (or a file):
   the server's own ``/metrics`` + ``/stats``, and with ``--sweep`` steps
   the offered rate until the SLO breaks (a saturation/sizing report).
 
-The ``fleet`` and ``replay`` subcommands accept ``--backend`` /
-``--jobs`` to fan independent per-machine solves out on a solver-execution
-backend (``--help`` lists the registered names); every backend returns
-the serial answer, and the emitted report records which backend produced
-it.  Input paths accept ``-`` to read the JSON document from stdin, and
-``--version`` reports the package version.
+The ``fleet``, ``replay`` and ``serve`` subcommands accept ``--backend``
+/ ``--jobs`` to fan independent per-machine solves out on a
+solver-execution backend (``--help`` lists the registered names; the
+default is ``serial``, which refuses ``--jobs`` above 1); every backend
+returns the serial answer, and the emitted report records which backend
+produced it.  Input paths accept ``-`` to read the JSON document from
+stdin, and ``--version`` reports the package version.
 
 Examples::
 
@@ -47,7 +48,8 @@ Examples::
     python -m repro fleet fleet.json --placement bnb-fleet --bnb-max-nodes 50000
     python -m repro replay trace.json --fleet fleet.json --policy static
     python -m repro fleet fleet.json --profile --trace-out traces.jsonl
-    python -m repro serve --port 8008 --jobs 8 --trace
+    python -m repro serve --port 8008 --trace
+    python -m repro serve --port 8008 --backend thread --jobs 8
     python -m repro loadgen --url http://127.0.0.1:8008 --rate 20 --duration 5
     python -m repro loadgen --url http://127.0.0.1:8008 --trace trace.json --period-duration 1
     python -m repro loadgen --url http://127.0.0.1:8008 --sweep --p95 0.25 -o sizing.json
@@ -246,23 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bind port; 0 picks an ephemeral one (default: 8008)",
     )
-    serve.add_argument(
-        "--backend",
-        default="asyncio",
-        choices=sorted(BACKENDS.names()),
-        help="solver-execution backend for served solves (default: asyncio)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count for the chosen backend (default: per-backend)",
-    )
+    add_backend_options(serve)
     serve.add_argument(
         "--max-concurrency",
         type=int,
         default=None,
-        help="bound on concurrently executing requests (default: 8)",
+        help="bound on concurrently running solves (default: 8)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log each handled request"

@@ -6,9 +6,9 @@ selected by name from the open
 :data:`~repro.parallel.backends.BACKENDS` registry — see
 ``docs/parallel.md`` for the subsystem guide and the determinism contract
 (every backend returns the serial answer, bit for bit, under
-``canonical_dict()``).  The ``asyncio`` backend additionally exposes the
-awaitable face (:meth:`~repro.parallel.aio.AsyncioBackend.run_async`) the
-serving tier (:mod:`repro.service`) multiplexes requests over.
+``canonical_dict()``).  The ``asyncio`` backend additionally exposes an
+awaitable face (:meth:`~repro.parallel.aio.AsyncioBackend.run_async`) for
+callers inside an event loop.
 """
 
 from .aio import AsyncioBackend

@@ -1,9 +1,8 @@
 """The ``asyncio`` solver backend: semaphore-bounded async multiplexing.
 
-The serving tier (:mod:`repro.service`) hosts the advisor inside an event
-loop, where solves must be *awaitable*: an HTTP handler cannot block a
-loop thread on a fleet solve without starving every other request.  This
-backend makes a batch of :class:`~repro.parallel.backends.SolveTask`\\ s a
+A caller that hosts the advisor inside an event loop needs solves to be
+*awaitable*: a coroutine cannot block its loop's thread on a fleet solve
+without starving every other task on the loop.  This backend makes a batch of :class:`~repro.parallel.backends.SolveTask`\\ s a
 first-class coroutine: :meth:`AsyncioBackend.run_async` multiplexes the
 tasks over an :class:`asyncio.Semaphore` of width ``jobs``, executing each
 task's closure on a dedicated thread-pool executor so RPC-shaped what-if

@@ -22,8 +22,8 @@ Backends live behind the same open
   deployment's what-if calls do (they are RPCs to a DBMS optimizer; see
   :mod:`repro.parallel.simulated`).
 
-:mod:`repro.parallel.aio` registers a third, ``"asyncio"``, for the
-serving tier.  Every backend runs its tasks in this process, on shared
+:mod:`repro.parallel.aio` registers a third, ``"asyncio"``, for callers
+inside an event loop.  Every backend runs its tasks in this process, on shared
 objects: a task is a closure, and its side effects (cache traffic, trace
 spans) land where the caller can see them.
 

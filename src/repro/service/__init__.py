@@ -17,8 +17,9 @@ deployment shape, one tier above the execution layer:
 * :class:`AdvisorHTTPServer` / :func:`serve` — a stdlib-only HTTP server
   (``python -m repro serve``): POST ``/recommend`` / ``/fleet`` /
   ``/replay`` accept the existing Scenario / FleetProblem / trace JSON
-  documents; GET ``/healthz`` and ``/stats`` report liveness, cache hit
-  rates, and in-flight requests.
+  documents and are solved on the connection's own thread under an
+  admission bound; GET ``/healthz`` and ``/stats`` report liveness,
+  cache hit rates, and in-flight requests.
 
 Every served answer is the library answer: a response body differs from
 the corresponding direct call only in run artifacts (timing, cache

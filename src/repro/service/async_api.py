@@ -177,10 +177,11 @@ class AsyncFleetAdvisor:
 class AsyncAdvisorService:
     """Awaitable face of :class:`~repro.service.engine.AdvisorService`.
 
-    This is the object the HTTP tier calls into: request documents go in,
-    reports come out, and the semaphore keeps a request burst from
+    For callers inside an event loop: request documents go in, reports
+    come out, and the semaphore keeps a burst of awaits from
     oversubscribing the worker threads (the service's own solver backend
-    bounds per-solve parallelism below that).
+    bounds per-solve parallelism below that).  The HTTP tier does not use
+    it; it calls the service directly on each connection's thread.
     """
 
     def __init__(

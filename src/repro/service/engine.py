@@ -17,12 +17,14 @@ everything that is safe and *profitable* to share lives on the service:
   scenario is answered from the cache with zero new evaluations.
 * one long-lived, thread-safe :class:`~repro.fleet.FleetAdvisor` whose
   inner advisor rides the same cache pool; fleet solves fan out on the
-  service's solver backend (``"asyncio"`` by default, so overlapped
-  what-if RPCs beat a serial solve — see ``docs/parallel.md``).
+  service's solver backend (``"serial"`` by default: on the in-process
+  cost model it is the fastest backend, while ``"thread"`` overlaps
+  RPC-shaped what-if latency — see ``docs/parallel.md``).
 
-The service itself is synchronous and thread-safe; the awaitable face is
-:class:`~repro.service.async_api.AsyncAdvisorService`, and the HTTP tier
-on top of that is :mod:`repro.service.http`.
+The service itself is synchronous and thread-safe.  The HTTP tier
+(:mod:`repro.service.http`) calls it directly, on each request's
+connection thread; :class:`~repro.service.async_api.AsyncAdvisorService`
+is its awaitable face for callers inside an event loop.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class AdvisorService:
     Args:
         backend: solver-execution backend fleet solves and replays fan out
             on — a registered name or an instance.  The default is
-            ``"asyncio"``: served solves overlap their RPC-shaped what-if
-            calls while returning the serial answer bit for bit.
+            ``"serial"``; ``"thread"`` overlaps RPC-shaped what-if calls.
+            Every backend returns the serial answer bit for bit.
         jobs: worker count for a backend given by name.
         placement: default fleet placement strategy.
         advisor_options: defaults for every advisor the service builds
@@ -125,7 +127,7 @@ class AdvisorService:
 
     def __init__(
         self,
-        backend: BackendSpec = "asyncio",
+        backend: BackendSpec = "serial",
         jobs: Optional[int] = None,
         placement: str = "greedy-cost",
         **advisor_options: Any,

@@ -20,19 +20,22 @@ ring (enable tracing with ``--trace`` or ``--trace-out``; 404 when
 tracing is off or the id has aged out).
 
 Threading model: :class:`AdvisorHTTPServer` is a
-:class:`~http.server.ThreadingHTTPServer` (one handler thread per
-connection) that owns a private event loop on a daemon thread.  Handlers
-*submit* their request coroutine to that loop and block their own
-connection thread on the result — so the admission bound (the
-:class:`~repro.service.async_api.AsyncAdvisorService` semaphore) is
-enforced in one place regardless of how many connection threads pile up,
-and each admitted solve runs on a worker thread where the service's
-``asyncio`` solver backend is free to open its own per-batch loop.
+:class:`~http.server.ThreadingHTTPServer`, one handler thread per
+connection, and each request is served synchronously on its
+connection's own thread: parse, solve through the shared
+:class:`~repro.service.engine.AdvisorService`, serialize.  The server's
+:class:`threading.BoundedSemaphore` of ``max_concurrency`` slots is the
+admission bound: however many connection threads pile up, at most that
+many solves run at once, while ``GET`` endpoints never wait for a slot.
+Responses go out with Nagle's algorithm off, so a keep-alive client is
+not stalled waiting for its own delayed ACK of the response headers.
 
 Errors map to JSON bodies: malformed documents are ``400 {"error": ...}``
 (:class:`~repro.exceptions.ReproError`, bad JSON, an invalid
-``Content-Length``, after which the connection closes), unknown paths
-``404``, wrong verbs ``405``, anything unexpected ``500``.
+``Content-Length``, after which the connection closes), a declared body
+over :data:`MAX_BODY_BYTES` is ``413`` (unread, and the connection
+closes), unknown paths ``404``, wrong verbs ``405``, anything unexpected
+``500``.
 """
 
 from __future__ import annotations
@@ -46,19 +49,26 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, TextIO, Tuple
 
 from .. import __version__
-from ..exceptions import ReproError
+from ..exceptions import ConfigurationError, ReproError
 from ..telemetry.instruments import HTTP_REQUESTS_TOTAL
 from ..telemetry.metrics import get_registry
 from ..telemetry.trace import get_tracer
-from .async_api import DEFAULT_MAX_CONCURRENCY, AsyncAdvisorService
+from .async_api import DEFAULT_MAX_CONCURRENCY
 from .engine import AdvisorService
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
+#: Largest request body the server reads; a larger declared
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class _BodyTooLarge(Exception):
+    """A declared request body over :data:`MAX_BODY_BYTES` (answered 413)."""
 
 
 class AdvisorHTTPServer(ThreadingHTTPServer):
-    """The advisor bound to a socket, with its own event-loop thread."""
+    """The advisor bound to a socket; at most ``max_concurrency`` solves run at once."""
 
     daemon_threads = True
 
@@ -69,22 +79,25 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
         verbose: bool = False,
     ) -> None:
+        # Checked here: a zero-slot semaphore would block every POST forever.
+        if max_concurrency < 1:
+            raise ConfigurationError(
+                f"max_concurrency must be >= 1, got {max_concurrency}"
+            )
         self.service = service if service is not None else AdvisorService()
-        self.async_service = AsyncAdvisorService(
-            self.service, max_concurrency=max_concurrency
-        )
+        #: The admission bound: one slot per concurrently running solve.
+        self.admission = threading.BoundedSemaphore(max_concurrency)
         self.verbose = verbose
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-serve-loop", daemon=True
-        )
-        self._loop_thread.start()
         self._closed = False
         super().__init__(address, AdvisorRequestHandler)
 
     def submit(self, coroutine: Any) -> Any:
-        """Run a coroutine on the server's loop; block until its result."""
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
+        """Run a coroutine to completion on a fresh event loop; return its result.
+
+        The handler does not call this; the repository benchmark
+        (``perfbench/``) wraps it by name.
+        """
+        return asyncio.run(coroutine)
 
     @property
     def url(self) -> str:
@@ -95,9 +108,6 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
         super().server_close()
         if not self._closed:
             self._closed = True
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._loop_thread.join(timeout=5)
-            self._loop.close()
             self.service.close()
 
 
@@ -107,12 +117,21 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
     server: AdvisorHTTPServer
     server_version = f"repro-advisor/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two sends; with Nagle on, the body waits
+    # for the client's delayed ACK of the headers (~40 ms per response).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     _GET_PATHS = ("/healthz", "/stats", "/metrics")
-    _POST_PATHS = ("/recommend", "/fleet", "/replay")
+    #: POST path -> the :class:`AdvisorService` method that answers it.
+    _SOLVERS = {
+        "/recommend": "recommend",
+        "/fleet": "fleet_document",
+        "/replay": "replay_document",
+    }
+    _POST_PATHS = tuple(_SOLVERS)
 
     @classmethod
     def _route(cls, path: str) -> str:
@@ -141,7 +160,7 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         if path == "/healthz":
             self._send(200, {"status": "ok", "version": __version__})
         elif path == "/stats":
-            self._send(200, self.server.async_service.stats())
+            self._send(200, self.server.service.stats())
         elif path == "/metrics":
             self._send_bytes(
                 200,
@@ -184,14 +203,12 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             document = self._read_document()
-            if path == "/recommend":
-                report = self.server.submit(
-                    self.server.async_service.recommend(document)
-                )
-            elif path == "/fleet":
-                report = self.server.submit(self.server.async_service.fleet(document))
-            else:
-                report = self.server.submit(self.server.async_service.replay(document))
+            solve = getattr(self.server.service, self._SOLVERS[path])
+            with self.server.admission:
+                report = solve(document)
+        except _BodyTooLarge as error:
+            self._send(413, {"error": str(error)})
+            return
         except (ReproError, json.JSONDecodeError, UnicodeDecodeError) as error:
             self._send(400, {"error": str(error)})
             return
@@ -211,6 +228,13 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ReproError(f"invalid Content-Length header: {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # Unread, the body would be parsed as the next request.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             raise json.JSONDecodeError("empty request body", "", 0)
         body = self.rfile.read(length).decode("utf-8")

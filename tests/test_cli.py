@@ -276,6 +276,17 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_serve_jobs_needs_a_parallel_backend(self, capsys, monkeypatch):
+        # The default backend is serial, which refuses a worker count, the
+        # same rule fleet and replay follow; the server must never start.
+        def refuse(**_options):
+            raise AssertionError("serve started despite --jobs 8")
+
+        monkeypatch.setattr("repro.service.serve", refuse)
+        code, out, err = run(capsys, ["serve", "--port", "0", "--jobs", "8"])
+        assert code == 2 and out == ""
+        assert "error: the serial backend" in err
+
 
 # ----------------------------------------------------------------------
 # loadgen

@@ -7,14 +7,20 @@ one process-wide cache pool; repeats answered without new evaluations),
 and the stdlib HTTP server — including the concurrent mixed-endpoint
 property: N parallel clients hitting one served advisor receive responses
 byte-equal under ``canonical_dict()`` to direct library calls, and
-repeats drive the shared cost-cache hit rate above zero.
+repeats drive the shared cost-cache hit rate above zero.  The server's
+own limits are tested too: the admission bound on concurrent solves,
+the request-body cap, and keep-alive round trips free of the Nagle /
+delayed-ACK stall.
 """
 
 import asyncio
 import copy
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +33,7 @@ from repro.exceptions import ConfigurationError
 from repro.fleet import FleetAdvisor, FleetProblem
 from repro.fleet.report import FleetReport
 from repro.service import AdvisorHTTPServer, AdvisorService, AsyncAdvisorService
+from repro.service.http import MAX_BODY_BYTES
 from repro.traces import FleetTraceReplayer, TraceReplayer, WorkloadTrace
 from repro.traces.replay import ReplayReport
 
@@ -381,6 +388,25 @@ def error_of(callable_):
     return excinfo.value.code, body
 
 
+def raw_post_head(server, content_length):
+    """POST only a request head over a raw socket; read until the server closes.
+
+    A raw socket sends ``Content-Length`` exactly as written and no body,
+    so a server that waited for the body would never answer.
+    """
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(
+            f"POST /recommend HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
 class TestHTTPServer:
     def test_healthz(self, server):
         import repro
@@ -485,20 +511,45 @@ class TestHTTPServer:
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1_0"])
     def test_invalid_content_length_is_400_and_closes(self, server, length):
-        # A raw socket sends the header exactly as written.
-        host, port = server.server_address[:2]
-        with socket.create_connection((host, port), timeout=30) as sock:
-            sock.sendall(
-                f"POST /recommend HTTP/1.1\r\nHost: {host}\r\n"
-                f"Content-Length: {length}\r\n\r\n".encode("ascii")
-            )
-            response = b""
-            while chunk := sock.recv(4096):  # the server closes the connection
-                response += chunk
-        head, _, body = response.partition(b"\r\n\r\n")
+        head, body = raw_post_head(server, length)
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
-        assert "Content-Length" in json.loads(body)["error"]
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_unread_and_closes(self, server):
+        head, body = raw_post_head(server, MAX_BODY_BYTES + 1)
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_keep_alive_round_trips_do_not_stall(self, server):
+        # A response leaves as two sends (head, then body).  With Nagle's
+        # algorithm on, the body waited for the client's delayed ACK of the
+        # head: ~40 ms per back-to-back request on one connection.
+        host, port = server.server_address[:2]
+        scenario = json.dumps(SCENARIO).encode("utf-8")
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+
+        def round_trip(method, path, body=None):
+            started = time.perf_counter()
+            connection.request(
+                method, path, body=body, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            return time.perf_counter() - started
+
+        try:
+            round_trip("POST", "/recommend", scenario)  # warm the scenario
+            for method, path, body in (
+                ("GET", "/healthz", None),
+                ("POST", "/recommend", scenario),
+            ):
+                seconds = [round_trip(method, path, body) for _ in range(20)]
+                assert statistics.median(seconds) < 0.020, (path, seconds)
+        finally:
+            connection.close()
 
     def test_concurrent_mixed_endpoints_match_direct_calls(
         self,
@@ -538,6 +589,79 @@ class TestHTTPServer:
         assert stats["requests"]["recommend"] >= 4
         assert stats["requests"]["fleet"] >= 4
         assert stats["requests"]["replay"] >= 4
+
+
+class _GatedService(AdvisorService):
+    """An engine whose ``recommend`` blocks on a gate and records its overlap."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self._count_lock = threading.Lock()
+        self.running = 0
+        self.peak = 0
+
+    def recommend(self, scenario):
+        with self._count_lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        try:
+            return super().recommend(scenario)
+        finally:
+            with self._count_lock:
+                self.running -= 1
+
+    def advisor(self, **options):
+        # Called inside the service's request accounting, so a blocked
+        # request shows in /stats as in flight.
+        self.entered.set()
+        if not self.gate.wait(timeout=60):
+            raise TimeoutError("the gate was never opened")
+        return super().advisor(**options)
+
+
+class TestAdmissionBound:
+    def test_one_slot_runs_one_solve_and_never_blocks_gets(self, direct_recommend):
+        service = _GatedService(**ADVISOR_OPTIONS)
+        server = AdvisorHTTPServer(
+            ("127.0.0.1", 0), service=service, max_concurrency=1
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [
+                    pool.submit(post, server, "/recommend", SCENARIO)
+                    for _ in range(3)
+                ]
+                assert service.entered.wait(timeout=60)
+                # Give the two queued requests time to reach the admission
+                # bound; a broken bound lets them into recommend too.
+                time.sleep(0.5)
+                assert get(server, "/healthz")[0] == 200
+                status, stats = get(server, "/stats")
+                assert status == 200
+                assert stats["in_flight"] == 1
+                assert service.peak == 1
+                service.gate.set()
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            service.gate.set()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        for status, body in results:
+            assert status == 200
+            served = RecommendationReport.from_dict(body)
+            assert served.canonical_dict() == direct_recommend.canonical_dict()
+        assert service.peak == 1
+
+    def test_zero_slots_is_rejected(self):
+        # A zero-slot semaphore would block every POST forever.
+        with pytest.raises(ConfigurationError):
+            AdvisorHTTPServer(("127.0.0.1", 0), max_concurrency=0)
 
 
 # ----------------------------------------------------------------------
