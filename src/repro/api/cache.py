@@ -30,9 +30,9 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cost_estimator import (
+    _CACHE_DECIMALS,
     CostFunction,
     _CachingCostFunction,
-    resolve_batch_through_cache,
 )
 from ..core.problem import (
     ConsolidatedWorkload,
@@ -41,15 +41,13 @@ from ..core.problem import (
 )
 from ..exceptions import EstimationError
 
-#: Allocation shares are rounded to this many decimals in cache keys so the
-#: floating-point noise of repeated ±delta shifts does not defeat the cache
-#: (same policy as the per-instance caches in :mod:`repro.core.cost_estimator`).
-_CACHE_DECIMALS = 6
-
 #: Cache keys: (namespace, workload id, calibration id, cpu, memory).  The
 #: namespace identifies the cost semantics (cost-function family and its
 #: parameters) so one cache shared across differently-configured cost
-#: functions cannot serve a value computed under other parameters.
+#: functions cannot serve a value computed under other parameters.  Shares
+#: are rounded exactly as :func:`~repro.core.cost_estimator.quantize_allocation`
+#: rounds the allocation a cost function evaluates, so a cached value is
+#: always the cost of the quantized allocation its key names.
 _Key = Tuple[str, int, int, float, float]
 
 
@@ -120,6 +118,28 @@ class CostCache:
             self.hits += 1
             return value
 
+    def get_many(
+        self,
+        namespace: str,
+        tenant: ConsolidatedWorkload,
+        allocations: Sequence[ResourceAllocation],
+    ) -> Tuple[List[_Key], List[Optional[float]]]:
+        """Keys and cached costs (``None`` if missing) of a batch, aligned.
+
+        Each key is built once and the lock is taken once.  The counters
+        move as a :meth:`get`/:meth:`put` loop over the batch would move
+        them: one miss per distinct missing key, a hit for everything else
+        (a repeat of a missing key finds the first occurrence's value).
+        """
+        keys = [self._key(namespace, tenant, allocation) for allocation in allocations]
+        with self._lock:
+            lookup = self._values.get
+            values = [lookup(key) for key in keys]
+            misses = len({key for key, value in zip(keys, values) if value is None})
+            self.misses += misses
+            self.hits += len(keys) - misses
+        return keys, values
+
     def put(
         self,
         namespace: str,
@@ -128,19 +148,18 @@ class CostCache:
         value: float,
     ) -> None:
         """Store the cost of ``tenant`` under ``allocation``."""
-        key = self._key(namespace, tenant, allocation)
+        self.put_many(tenant, {self._key(namespace, tenant, allocation): value})
+
+    def put_many(self, tenant: ConsolidatedWorkload, values: Dict[_Key, float]) -> None:
+        """Store costs of ``tenant`` under keys :meth:`get_many` returned."""
         with self._lock:
-            if key not in self._values and len(self._values) >= self.max_entries:
-                self._values.clear()
-                self._pins.clear()
-            self._values[key] = value
+            for key, value in values.items():
+                if key not in self._values and len(self._values) >= self.max_entries:
+                    self._values.clear()
+                    self._pins.clear()
+                self._values[key] = value
             self._pins.setdefault(id(tenant.workload), tenant.workload)
             self._pins.setdefault(id(tenant.calibration), tenant.calibration)
-
-    def record_extra_hit(self) -> None:
-        """Count a hit that bypassed :meth:`get` (batch-internal duplicates)."""
-        with self._lock:
-            self.hits += 1
 
     @property
     def size(self) -> int:
@@ -267,24 +286,15 @@ class CachedCostFunction(CostFunction):
         if not 0 <= tenant_index < self.problem.n_workloads:
             raise EstimationError(f"tenant index {tenant_index} out of range")
         tenant = self.problem.tenant(tenant_index)
-
-        def record_duplicate_hit() -> None:
-            # A sequential cost() loop would find the first occurrence's
-            # value already cached by the time it sees the duplicate.
-            self.cache.record_extra_hit()
-
-        return resolve_batch_through_cache(
-            allocations,
-            key_of=lambda allocation: (
-                round(allocation.cpu_share, _CACHE_DECIMALS),
-                round(allocation.memory_fraction, _CACHE_DECIMALS),
-            ),
-            get_cached=lambda allocation: self.cache.get(
-                self._namespace, tenant, allocation
-            ),
-            evaluate=lambda missing: self._evaluate_many(tenant_index, missing),
-            put=lambda allocation, value: self.cache.put(
-                self._namespace, tenant, allocation, value
-            ),
-            duplicate_hit=record_duplicate_hit,
+        keys, values = self.cache.get_many(self._namespace, tenant, allocations)
+        missing: Dict[_Key, ResourceAllocation] = {}
+        for key, allocation, value in zip(keys, allocations, values):
+            if value is None:
+                missing.setdefault(key, allocation)
+        if not missing:
+            return values
+        fresh = dict(
+            zip(missing, self._evaluate_many(tenant_index, list(missing.values())))
         )
+        self.cache.put_many(tenant, fresh)
+        return [fresh[key] if value is None else value for key, value in zip(keys, values)]

@@ -75,6 +75,15 @@ def _normalize_options(
     }
 
 
+def _reject_duplicates(names: Sequence[str], what: str) -> None:
+    """Raise :class:`ConfigurationError` naming every repeated ``what``."""
+    if len(set(names)) != len(names):
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        raise ConfigurationError(
+            f"duplicate {what}(s): {', '.join(map(repr, duplicates))}"
+        )
+
+
 def _listify(value: Any) -> Any:
     """Recursively turn tuples into lists for JSON output."""
     if isinstance(value, tuple):
@@ -175,6 +184,9 @@ class Scenario:
             tenant if isinstance(tenant, TenantSpec) else TenantSpec.from_dict(tenant)
             for tenant in self.tenants
         )
+        # The report keys its rows by tenant name; two tenants of one name
+        # would give it two rows no reader can tell apart.
+        _reject_duplicates([tenant.name for tenant in tenants], "tenant name")
         object.__setattr__(self, "tenants", tenants)
         object.__setattr__(self, "resources", tuple(self.resources))
         object.__setattr__(

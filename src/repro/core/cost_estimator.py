@@ -140,55 +140,6 @@ class CostFunction(ABC):
         return self.cost(tenant_index, allocation) / base
 
 
-def resolve_batch_through_cache(
-    allocations,
-    key_of,
-    get_cached,
-    evaluate,
-    put,
-    duplicate_hit=None,
-):
-    """Resolve a batch of allocations through a cache, deduplicating misses.
-
-    The shared algorithm behind every ``cost_many`` cache layer: values are
-    returned aligned with ``allocations``; each distinct missing key is
-    evaluated exactly once via ``evaluate(missing_allocations)`` and stored
-    with ``put``, matching what the equivalent sequence of single lookups
-    would evaluate.  ``duplicate_hit`` (if given) is called once per
-    repeated not-yet-cached key — the sequential equivalent would find the
-    first occurrence's value already cached, i.e. record a hit.
-    """
-    allocations = list(allocations)
-    results: List[Optional[float]] = [None] * len(allocations)
-    miss_slots: Dict[object, int] = {}
-    miss_allocations: List[ResourceAllocation] = []
-    miss_positions: List[List[int]] = []
-    for position, allocation in enumerate(allocations):
-        key = key_of(allocation)
-        slot = miss_slots.get(key)
-        if slot is not None:
-            if duplicate_hit is not None:
-                duplicate_hit()
-            miss_positions[slot].append(position)
-            continue
-        cached = get_cached(allocation)
-        if cached is not None:
-            results[position] = cached
-            continue
-        miss_slots[key] = len(miss_allocations)
-        miss_allocations.append(allocation)
-        miss_positions.append([position])
-    if miss_allocations:
-        values = evaluate(miss_allocations)
-        for allocation, value, positions in zip(
-            miss_allocations, values, miss_positions
-        ):
-            put(allocation, value)
-            for position in positions:
-                results[position] = value
-    return results
-
-
 class _CachingCostFunction(CostFunction):
     """Base class adding an allocation-level cache."""
 
@@ -217,19 +168,15 @@ class _CachingCostFunction(CostFunction):
     ) -> List[float]:
         # Deduplicate misses within the batch so each distinct allocation is
         # evaluated (and counted) exactly once, as repeated cost() calls would.
-        return resolve_batch_through_cache(
-            allocations,
-            key_of=lambda allocation: self._key(tenant_index, allocation),
-            get_cached=lambda allocation: self._cache.get(
-                self._key(tenant_index, allocation)
-            ),
-            evaluate=lambda missing: super(_CachingCostFunction, self).cost_many(
-                tenant_index, missing
-            ),
-            put=lambda allocation, value: self._cache.__setitem__(
-                self._key(tenant_index, allocation), value
-            ),
-        )
+        keys = [self._key(tenant_index, allocation) for allocation in allocations]
+        missing: Dict[Tuple[int, float, float], ResourceAllocation] = {}
+        for key, allocation in zip(keys, allocations):
+            if key not in self._cache:
+                missing.setdefault(key, allocation)
+        if missing:
+            values = super().cost_many(tenant_index, list(missing.values()))
+            self._cache.update(zip(missing, values))
+        return [self._cache[key] for key in keys]
 
     def clear_cache(self) -> None:
         """Drop all cached costs."""

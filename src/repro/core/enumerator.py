@@ -51,6 +51,19 @@ from .problem import (
 
 _EPSILON = 1e-9
 
+#: One greedy move pair of one tenant and resource: ``(gain, increased,
+#: weighted cost up, loss, reduced, weighted cost down)``.  A step up past
+#: the full machine has gain ``-inf``; a step down below ``min_share`` or
+#: past the tenant's degradation limit has loss ``+inf``.
+_Moves = Tuple[
+    float,
+    Optional[ResourceAllocation],
+    float,
+    float,
+    Optional[ResourceAllocation],
+    float,
+]
+
 
 @dataclass(frozen=True)
 class EnumerationResult:
@@ -329,58 +342,66 @@ class GreedyConfigurationEnumerator:
             gains[i] * cost_function.cost(i, allocations[i]) for i in range(n)
         ]
 
+        def probe(i: int) -> List[_Moves]:
+            """Tenant ``i``'s one-step moves of every resource, in one batch.
+
+            Who benefits most from an increase?  A share within delta of
+            the full machine absorbs a clamped step; the probed allocation
+            object itself is what a winning move applies, so probe and
+            apply can never diverge (and ``weighted[i]`` stays consistent).
+            Who suffers least from a reduction?  Only a reduction that keeps
+            the tenant within its degradation limit may be chosen.
+            """
+            allocation, gain_factor, bound = allocations[i], gains[i], bounds.get(i)
+            steps = []
+            for resource in problem.resources:
+                share = allocation.get(resource)
+                increased = reduced = None
+                if share + self.delta <= 1.0 + _EPSILON:
+                    increased = allocation.with_resource(
+                        resource, min(1.0, share + self.delta)
+                    )
+                if share - self.delta >= self.min_share - _EPSILON:
+                    reduced = allocation.shifted(resource, -self.delta)
+                steps.append((increased, reduced))
+            batch = [step for pair in steps for step in pair if step is not None]
+            raw = iter(_evaluate_costs(cost_function, i, batch) if batch else ())
+            tenant_moves: List[_Moves] = []
+            for increased, reduced in steps:
+                gain, cost_up = -math.inf, 0.0
+                if increased is not None:
+                    cost_up = gain_factor * next(raw)
+                    gain = weighted[i] - cost_up
+                loss, cost_down = math.inf, 0.0
+                if reduced is not None:
+                    raw_down = next(raw)
+                    cost_down = gain_factor * raw_down
+                    if bound is None or raw_down <= bound:
+                        loss = cost_down - weighted[i]
+                tenant_moves.append((gain, increased, cost_up, loss, reduced, cost_down))
+            return tenant_moves
+
+        # moves[i][r]: tenant i's moves of resource r from its current
+        # allocation.  A move changes only the two tenants it touches, so
+        # every other tenant's moves are reused, not probed again.
+        moves: List[Optional[List[_Moves]]] = [None] * n
         iterations = 0
         while iterations < self.max_iterations:
             iterations += 1
-            best_move: Optional[
-                Tuple[int, int, ResourceAllocation, ResourceAllocation, float, float]
-            ] = None
+            for i in range(n):
+                if moves[i] is None:
+                    moves[i] = probe(i)
+            best_move: Optional[Tuple[int, int, int]] = None
             max_diff = 0.0
-            for resource in problem.resources:
-                max_gain = 0.0
-                min_loss = math.inf
-                i_gain: Optional[int] = None
-                i_lose: Optional[int] = None
-                gain_alloc: Optional[ResourceAllocation] = None
-                lose_alloc: Optional[ResourceAllocation] = None
-                gain_cost = 0.0
-                lose_cost = 0.0
-                for i in range(n):
-                    share = allocations[i].get(resource)
-                    increased: Optional[ResourceAllocation] = None
-                    reduced: Optional[ResourceAllocation] = None
-                    # Who benefits most from an increase?  A share within
-                    # delta of the full machine absorbs a clamped step; the
-                    # probed allocation object itself is what a winning move
-                    # applies, so probe and apply can never diverge (and the
-                    # cached weighted[i] stays consistent).
-                    if share + self.delta <= 1.0 + _EPSILON:
-                        increased = allocations[i].with_resource(
-                            resource, min(1.0, share + self.delta)
-                        )
-                    # Who suffers least from a reduction?
-                    if share - self.delta >= self.min_share - _EPSILON:
-                        reduced = allocations[i].shifted(resource, -self.delta)
-                    probes = [a for a in (increased, reduced) if a is not None]
-                    if not probes:
-                        continue
-                    raw = _evaluate_costs(cost_function, i, probes)
-                    position = 0
-                    if increased is not None:
-                        cost_up = gains[i] * raw[position]
-                        position += 1
-                        gain = weighted[i] - cost_up
-                        if gain > max_gain:
-                            max_gain, i_gain = gain, i
-                            gain_alloc, gain_cost = increased, cost_up
-                    if reduced is not None:
-                        raw_down = raw[position]
-                        cost_down = gains[i] * raw_down
-                        loss = cost_down - weighted[i]
-                        bound = bounds.get(i)
-                        if loss < min_loss and (bound is None or raw_down <= bound):
-                            min_loss, i_lose = loss, i
-                            lose_alloc, lose_cost = reduced, cost_down
+            for r in range(len(problem.resources)):
+                max_gain, i_gain = 0.0, None
+                min_loss, i_lose = math.inf, None
+                for i, tenant_moves in enumerate(moves):
+                    gain, _, _, loss, _, _ = tenant_moves[r]
+                    if gain > max_gain:
+                        max_gain, i_gain = gain, i
+                    if loss < min_loss:
+                        min_loss, i_lose = loss, i
                 if (
                     i_gain is not None
                     and i_lose is not None
@@ -388,16 +409,14 @@ class GreedyConfigurationEnumerator:
                     and max_gain - min_loss > max_diff
                 ):
                     max_diff = max_gain - min_loss
-                    best_move = (i_gain, i_lose, gain_alloc, lose_alloc,
-                                 gain_cost, lose_cost)
+                    best_move = (r, i_gain, i_lose)
 
-            if best_move is None or max_diff <= 0.0:
+            if best_move is None:
                 break
-            i_gain, i_lose, gain_alloc, lose_alloc, gain_cost, lose_cost = best_move
-            allocations[i_gain] = gain_alloc
-            allocations[i_lose] = lose_alloc
-            weighted[i_gain] = gain_cost
-            weighted[i_lose] = lose_cost
+            r, i_gain, i_lose = best_move
+            _, allocations[i_gain], weighted[i_gain], _, _, _ = moves[i_gain][r]
+            _, _, _, _, allocations[i_lose], weighted[i_lose] = moves[i_lose][r]
+            moves[i_gain] = moves[i_lose] = None
 
         per_costs = tuple(
             cost_function.cost(i, allocations[i]) for i in range(n)

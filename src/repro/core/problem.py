@@ -72,11 +72,10 @@ class ResourceAllocation:
 
     def with_resource(self, resource: str, value: float) -> "ResourceAllocation":
         """Return a copy with the named resource share replaced."""
-        value = validate_fraction(value, resource)
         if resource == CPU:
-            return replace(self, cpu_share=value)
+            return ResourceAllocation(value, self.memory_fraction)
         if resource == MEMORY:
-            return replace(self, memory_fraction=value)
+            return ResourceAllocation(self.cpu_share, value)
         raise ConfigurationError(f"unknown resource {resource!r}")
 
     def shifted(self, resource: str, delta: float) -> "ResourceAllocation":

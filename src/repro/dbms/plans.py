@@ -31,7 +31,7 @@ from .catalog import Database, Index, Table
 from .query import AggregateSpec, QuerySpec, TableAccess, UpdateProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceUsage:
     """Logical resource usage of (part of) a query plan.
 
@@ -42,7 +42,8 @@ class ResourceUsage:
 
     Frozen so aggregated usage records can be memoized and shared across
     cost evaluations (plans are cached per engine configuration) without
-    any risk of in-place corruption.
+    any risk of in-place corruption; slotted because the plan cache keeps
+    many of them.
     """
 
     tuples: float = 0.0
@@ -55,12 +56,20 @@ class ResourceUsage:
     rows_returned: float = 0.0
     working_set_pages: float = 0.0
 
+    # Folding a plan's total usage adds once per node, so __add__ (and
+    # scaled(), written the same way) build the result positionally, field
+    # by field in declaration order, not through dataclasses.fields().
     def __add__(self, other: "ResourceUsage") -> "ResourceUsage":
         return ResourceUsage(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
+            self.tuples + other.tuples,
+            self.index_tuples + other.index_tuples,
+            self.operator_evals + other.operator_evals,
+            self.seq_pages + other.seq_pages,
+            self.random_pages + other.random_pages,
+            self.pages_written + other.pages_written,
+            self.sort_spill_pages + other.sort_spill_pages,
+            self.rows_returned + other.rows_returned,
+            self.working_set_pages + other.working_set_pages,
         )
 
     def scaled(self, factor: float) -> "ResourceUsage":
@@ -71,13 +80,17 @@ class ResourceUsage:
         """
         if factor < 0:
             raise ConfigurationError("scale factor must not be negative")
-        values = {f.name: getattr(self, f.name) * factor for f in fields(self)}
-        values["working_set_pages"] = self.working_set_pages
-        return ResourceUsage(**values)
-
-    def copy(self) -> "ResourceUsage":
-        """Return an independent copy of this usage record."""
-        return ResourceUsage(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return ResourceUsage(
+            self.tuples * factor,
+            self.index_tuples * factor,
+            self.operator_evals * factor,
+            self.seq_pages * factor,
+            self.random_pages * factor,
+            self.pages_written * factor,
+            self.sort_spill_pages * factor,
+            self.rows_returned * factor,
+            self.working_set_pages,
+        )
 
     @property
     def page_reads(self) -> float:

@@ -37,7 +37,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 # FleetProblem accepts the same calibration overrides as Scenario, so the
 # key whitelist is shared rather than duplicated.
-from ..api.scenario import _CALIBRATION_KEYS, TenantSpec, _normalize_options
+from ..api.scenario import (
+    _CALIBRATION_KEYS,
+    TenantSpec,
+    _normalize_options,
+    _reject_duplicates,
+)
 from ..core.problem import CPU, MEMORY, RESOURCE_NAMES
 from ..exceptions import ConfigurationError, PlacementError
 from ..virt.machine import PhysicalMachine
@@ -273,20 +278,8 @@ class FleetProblem:
             raise ConfigurationError("a fleet problem needs at least one tenant")
         if not machines:
             raise ConfigurationError("a fleet problem needs at least one machine")
-        names = [tenant.name for tenant in tenants]
-        if len(set(names)) != len(names):
-            duplicates = sorted({name for name in names if names.count(name) > 1})
-            raise ConfigurationError(
-                f"duplicate tenant name(s): {', '.join(map(repr, duplicates))}"
-            )
-        machine_names = [machine.name for machine in machines]
-        if len(set(machine_names)) != len(machine_names):
-            duplicates = sorted(
-                {name for name in machine_names if machine_names.count(name) > 1}
-            )
-            raise ConfigurationError(
-                f"duplicate machine name(s): {', '.join(map(repr, duplicates))}"
-            )
+        _reject_duplicates([tenant.name for tenant in tenants], "tenant name")
+        _reject_duplicates([machine.name for machine in machines], "machine name")
         for resource in self.resources:
             if resource not in RESOURCE_NAMES:
                 raise ConfigurationError(f"unknown resource {resource!r}")

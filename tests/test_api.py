@@ -216,6 +216,11 @@ class TestScenario:
                 {"tenants": [{"name": "t", "statements": [{"frequency": 1.0}]}]}
             )
 
+    def test_duplicate_tenant_names_are_rejected(self):
+        tenants = [dict(tenant, name="a") for tenant in SCENARIO_DICT["tenants"]]
+        with pytest.raises(ConfigurationError, match="duplicate tenant name.*'a'"):
+            Scenario.from_dict({**SCENARIO_DICT, "tenants": tenants})
+
     def test_builder_reuse_across_variants_shares_calibration(self, scenario):
         variant = Scenario.from_dict({**SCENARIO_DICT, "name": "variant"})
         builder = scenario.to_builder()
@@ -472,6 +477,64 @@ class TestCostCache:
         assert not errors
         # Every get() incremented exactly one of the two counters.
         assert cache.hits + cache.misses == n_threads * lookups_per_thread
+        assert cache.size <= cache.max_entries
+
+    def test_concurrent_batches_keep_counters_and_bound_sound(self):
+        # The batch face of the test above: get_many/put_many from more
+        # threads than cores, with a tiny switch interval so threads
+        # interleave mid-batch.  A counter update lost outside the lock
+        # breaks the lookup total; a store racing the reset breaks the bound.
+        import sys
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core.problem import ResourceAllocation
+
+        cache = CostCache(max_entries=64)
+        tenants = [
+            SimpleNamespace(workload=object(), calibration=object())
+            for _ in range(4)
+        ]
+        allocations = [
+            ResourceAllocation(cpu_share=0.05 * step, memory_fraction=0.5)
+            for step in range(1, 21)
+        ]
+        n_threads, rounds, batch = 8, 200, 5
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def worker(seed: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                for step in range(rounds):
+                    tenant = tenants[(seed + step) % len(tenants)]
+                    start = (seed * 3 + step) % (len(allocations) - batch)
+                    chosen = allocations[start : start + batch]
+                    keys, values = cache.get_many("what-if", tenant, chosen)
+                    cache.put_many(
+                        tenant,
+                        {key: float(step) for key, value in zip(keys, values) if value is None},
+                    )
+                    assert cache.size <= cache.max_entries
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cache.hits + cache.misses == n_threads * rounds * batch
         assert cache.size <= cache.max_entries
 
     def test_concurrent_memos_hand_out_one_object_per_key(self, fast_calibration):

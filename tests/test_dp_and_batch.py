@@ -3,8 +3,10 @@
 The dynamic program must return the same optimum as brute-force
 :class:`~repro.core.enumerator.ExhaustiveSearch` on every problem both can
 solve (checked property-based over random small problems, with and without
-degradation limits), and ``cost_many`` must agree with repeated ``cost``
-calls — including the ``call_count`` / cache-statistics accounting.
+degradation limits), ``cost_many`` must agree with repeated ``cost``
+calls — including the ``call_count`` / cache-statistics accounting — and
+the greedy enumerator, which reuses unchanged tenants' probes, must give
+the answers of a loop that probes every tenant on every iteration.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core.cost_estimator import (
 )
 from repro.core.enumerator import (
     DynamicProgrammingSearch,
+    EnumerationResult,
     ExhaustiveSearch,
     GreedyConfigurationEnumerator,
 )
@@ -249,6 +252,24 @@ class TestCostMany:
         assert batched.cost_many(0, allocations) == expected
         assert batched.evaluations == evaluations
 
+        # Pre-warmed: the first five keys are already cached, and the batch
+        # repeats one cached key (the fixture's copy of allocations[0]) and
+        # one missing key (allocations[9]).
+        batch = allocations + [allocations[9]]
+        sequential = CachedCostFunction(problem, WhatIfCostEstimator(problem), CostCache())
+        batched = CachedCostFunction(problem, WhatIfCostEstimator(problem), CostCache())
+        for costs in (sequential, batched):
+            for allocation in allocations[:5]:
+                costs.cost(0, allocation)
+        expected = [sequential.cost(0, a) for a in batch]
+        assert batched.cost_many(0, batch) == expected
+        assert batched.evaluations == sequential.evaluations
+        assert (batched.cache.hits, batched.cache.misses) == (
+            sequential.cache.hits,
+            sequential.cache.misses,
+        )
+        assert (sequential.cache.hits, sequential.cache.misses) == (7, 5 + 11)
+
     def test_cost_many_rejects_bad_tenant_index(self, problem):
         estimator = WhatIfCostEstimator(problem)
         with pytest.raises(EstimationError):
@@ -278,6 +299,143 @@ class TestGreedyProbeApplyConsistency:
         assert result.weighted_cost == pytest.approx(
             costs.total_weighted_cost(result.allocations)
         )
+
+
+def _reference_greedy(enumerator, problem, cost_function):
+    """The greedy loop as it was before probes were reused: every
+    iteration probes every tenant and resource again."""
+    n = problem.n_workloads
+    calls_before = cost_function.call_count
+    allocations = list(problem.default_allocation())
+    full_costs = {
+        i: cost_function.cost(i, problem.full_allocation())
+        for i in range(n)
+        if problem.tenant(i).degradation_limit != math.inf
+    }
+    if full_costs:
+        enumerator._repair_degradation(problem, cost_function, full_costs, allocations)
+    gains = [problem.tenant(i).gain_factor for i in range(n)]
+    bounds = {
+        i: problem.tenant(i).degradation_limit * base + 1e-9
+        for i, base in full_costs.items()
+        if base > 0
+    }
+    weighted = [gains[i] * cost_function.cost(i, allocations[i]) for i in range(n)]
+    delta, min_share = enumerator.delta, enumerator.min_share
+    iterations = 0
+    while iterations < enumerator.max_iterations:
+        iterations += 1
+        best_move = None
+        max_diff = 0.0
+        for resource in problem.resources:
+            max_gain, min_loss = 0.0, math.inf
+            i_gain = i_lose = gain_alloc = lose_alloc = None
+            gain_cost = lose_cost = 0.0
+            for i in range(n):
+                share = allocations[i].get(resource)
+                increased = reduced = None
+                if share + delta <= 1.0 + 1e-9:
+                    increased = allocations[i].with_resource(
+                        resource, min(1.0, share + delta)
+                    )
+                if share - delta >= min_share - 1e-9:
+                    reduced = allocations[i].shifted(resource, -delta)
+                probes = [a for a in (increased, reduced) if a is not None]
+                if not probes:
+                    continue
+                raw = cost_function.cost_many(i, probes)
+                position = 0
+                if increased is not None:
+                    cost_up = gains[i] * raw[position]
+                    position += 1
+                    gain = weighted[i] - cost_up
+                    if gain > max_gain:
+                        max_gain, i_gain = gain, i
+                        gain_alloc, gain_cost = increased, cost_up
+                if reduced is not None:
+                    raw_down = raw[position]
+                    cost_down = gains[i] * raw_down
+                    loss = cost_down - weighted[i]
+                    bound = bounds.get(i)
+                    if loss < min_loss and (bound is None or raw_down <= bound):
+                        min_loss, i_lose = loss, i
+                        lose_alloc, lose_cost = reduced, cost_down
+            if (
+                i_gain is not None
+                and i_lose is not None
+                and i_gain != i_lose
+                and max_gain - min_loss > max_diff
+            ):
+                max_diff = max_gain - min_loss
+                best_move = (i_gain, i_lose, gain_alloc, lose_alloc, gain_cost, lose_cost)
+        if best_move is None or max_diff <= 0.0:
+            break
+        i_gain, i_lose, gain_alloc, lose_alloc, gain_cost, lose_cost = best_move
+        allocations[i_gain], allocations[i_lose] = gain_alloc, lose_alloc
+        weighted[i_gain], weighted[i_lose] = gain_cost, lose_cost
+    per_costs = tuple(cost_function.cost(i, allocations[i]) for i in range(n))
+    return EnumerationResult(
+        allocations=tuple(allocations),
+        per_workload_costs=per_costs,
+        total_cost=sum(per_costs),
+        weighted_cost=sum(gains[i] * per_costs[i] for i in range(n)),
+        iterations=iterations,
+        cost_calls=cost_function.call_count - calls_before,
+    )
+
+
+class TestGreedyMatchesReprobingLoop:
+    """Reusing unchanged tenants' probes must not move one float."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_same_answer_and_evaluations(self, data, tpch_sf1_queries, db2_calibration):
+        n = data.draw(st.integers(min_value=1, max_value=6), label="tenants")
+        delta = data.draw(st.sampled_from([0.05, 0.1, 0.25]), label="delta")
+        resources = data.draw(st.sampled_from([(CPU,), (CPU, MEMORY)]), label="resources")
+        gains = data.draw(
+            st.lists(st.floats(1.0, 8.0), min_size=n, max_size=n), label="gains"
+        )
+        if data.draw(st.booleans(), label="limited"):
+            limits = data.draw(
+                st.lists(
+                    st.sampled_from([math.inf, 1.2, 1.5, 2.5]), min_size=n, max_size=n
+                ),
+                label="limits",
+            )
+        else:
+            limits = [math.inf] * n
+        params = data.draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.1, 100.0), st.floats(0.1, 100.0), st.floats(0.0, 10.0)
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            label="params",
+        )
+        problem = _problem(tpch_sf1_queries, db2_calibration, gains, limits, resources)
+        enumerator = GreedyConfigurationEnumerator(delta=delta)
+
+        def costs():
+            # Through a CostCache, so call_count counts distinct evaluations:
+            # the two loops must ask about exactly the same allocations.
+            return CachedCostFunction(
+                problem, SyntheticCostFunction(problem, params), CostCache()
+            )
+
+        reference_costs, actual_costs = costs(), costs()
+        expected = _reference_greedy(enumerator, problem, reference_costs)
+        actual = enumerator.enumerate(problem, actual_costs)
+        assert [a.as_tuple() for a in actual.allocations] == [
+            a.as_tuple() for a in expected.allocations
+        ]
+        assert actual.per_workload_costs == expected.per_workload_costs
+        assert actual.weighted_cost == expected.weighted_cost
+        assert actual.iterations == expected.iterations
+        assert actual_costs.call_count == reference_costs.call_count
+        assert actual.cost_calls == expected.cost_calls
 
 
 class TestPlanCacheStatistics:

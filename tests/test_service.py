@@ -504,6 +504,12 @@ class TestHTTPServer:
         code, body = error_of(lambda: post(server, "/recommend", document))
         assert code == 400 and "frequency" in body["error"]
 
+    def test_duplicate_tenant_names_are_400(self, server):
+        document = copy.deepcopy(SCENARIO)
+        document["tenants"][1]["name"] = document["tenants"][0]["name"]
+        code, body = error_of(lambda: post(server, "/recommend", document))
+        assert code == 400 and "duplicate tenant name" in body["error"]
+
     def test_empty_body_is_400(self, server):
         request = urllib.request.Request(server.url + "/recommend", data=b"")
         code, body = error_of(lambda: urllib.request.urlopen(request, timeout=30))
