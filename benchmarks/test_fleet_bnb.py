@@ -5,7 +5,8 @@ fleet *exactly* — ``proven_optimal`` provenance, no budget trip — within
 the CI wall-clock ceiling, while exploring at most 1% of the
 ``4^12 = 16.7M``-assignment tree that ``exhaustive-fleet`` would have to
 enumerate (its guard refuses this fleet outright).  The measured run
-explores ~153k nodes (~0.91% of the tree) in a few seconds.
+explores 153,281 nodes (~0.91% of the tree) in ~0.7–1.8 s on a 2-vCPU
+VM.
 
 The greedy-vs-exact gap is reported against the proven optimum — the
 number the toy-fleet CI check could never produce at this scale.  On this

@@ -41,14 +41,16 @@ from ..core.problem import (
 )
 from ..exceptions import EstimationError
 
-#: Cache keys: (namespace, workload id, calibration id, cpu, memory).  The
-#: namespace identifies the cost semantics (cost-function family and its
-#: parameters) so one cache shared across differently-configured cost
+#: Cache keys: ((namespace, workload id, calibration id), (cpu, memory)).
+#: The namespace identifies the cost semantics (cost-function family and
+#: its parameters) so one cache shared across differently-configured cost
 #: functions cannot serve a value computed under other parameters.  Shares
 #: are rounded exactly as :func:`~repro.core.cost_estimator.quantize_allocation`
 #: rounds the allocation a cost function evaluates, so a cached value is
-#: always the cost of the quantized allocation its key names.
-_Key = Tuple[str, int, int, float, float]
+#: always the cost of the quantized allocation its key names.  Stored keys
+#: share one interned prefix per tenant and one interned share pair per
+#: grid point, so each cached cost adds one small tuple and its value.
+_Key = Tuple[Tuple[str, int, int], Tuple[float, float]]
 
 
 #: Default bound on cached values (~tens of MB at worst); far above what a
@@ -85,22 +87,27 @@ class CostCache:
         self._lock = threading.Lock()
         self._values: Dict[_Key, float] = {}
         self._pins: Dict[int, object] = {}
+        self._interned: Dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
 
     @staticmethod
-    def _key(
+    def _keys(
         namespace: str,
         tenant: ConsolidatedWorkload,
-        allocation: ResourceAllocation,
-    ) -> _Key:
-        return (
-            namespace,
-            id(tenant.workload),
-            id(tenant.calibration),
-            round(allocation.cpu_share, _CACHE_DECIMALS),
-            round(allocation.memory_fraction, _CACHE_DECIMALS),
-        )
+        allocations: Sequence[ResourceAllocation],
+    ) -> List[_Key]:
+        prefix = (namespace, id(tenant.workload), id(tenant.calibration))
+        return [
+            (
+                prefix,
+                (
+                    round(allocation.cpu_share, _CACHE_DECIMALS),
+                    round(allocation.memory_fraction, _CACHE_DECIMALS),
+                ),
+            )
+            for allocation in allocations
+        ]
 
     def get(
         self,
@@ -109,7 +116,7 @@ class CostCache:
         allocation: ResourceAllocation,
     ) -> Optional[float]:
         """Cached cost of ``tenant`` under ``allocation``, or ``None``."""
-        key = self._key(namespace, tenant, allocation)
+        (key,) = self._keys(namespace, tenant, (allocation,))
         with self._lock:
             value = self._values.get(key)
             if value is None:
@@ -131,7 +138,7 @@ class CostCache:
         them: one miss per distinct missing key, a hit for everything else
         (a repeat of a missing key finds the first occurrence's value).
         """
-        keys = [self._key(namespace, tenant, allocation) for allocation in allocations]
+        keys = self._keys(namespace, tenant, allocations)
         with self._lock:
             lookup = self._values.get
             values = [lookup(key) for key in keys]
@@ -148,16 +155,20 @@ class CostCache:
         value: float,
     ) -> None:
         """Store the cost of ``tenant`` under ``allocation``."""
-        self.put_many(tenant, {self._key(namespace, tenant, allocation): value})
+        (key,) = self._keys(namespace, tenant, (allocation,))
+        self.put_many(tenant, {key: value})
 
     def put_many(self, tenant: ConsolidatedWorkload, values: Dict[_Key, float]) -> None:
         """Store costs of ``tenant`` under keys :meth:`get_many` returned."""
         with self._lock:
+            intern = self._interned.setdefault
             for key, value in values.items():
                 if key not in self._values and len(self._values) >= self.max_entries:
                     self._values.clear()
                     self._pins.clear()
-                self._values[key] = value
+                    self._interned.clear()
+                prefix, shares = key
+                self._values[(intern(prefix, prefix), intern(shares, shares))] = value
             self._pins.setdefault(id(tenant.workload), tenant.workload)
             self._pins.setdefault(id(tenant.calibration), tenant.calibration)
 
@@ -179,6 +190,7 @@ class CostCache:
         with self._lock:
             self._values.clear()
             self._pins.clear()
+            self._interned.clear()
             self.hits = 0
             self.misses = 0
 

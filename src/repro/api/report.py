@@ -132,7 +132,9 @@ class CostCallStats:
             per-configuration plan caches instead of re-optimizing.
         placement_solve_hits: whole per-machine solves (placement probes or
             committed divisions) answered from the fleet solve-memo instead
-            of re-running the enumerator's search.
+            of re-running the enumerator's search.  A probe reaches the
+            memo only on its first ask per placement run; repeat asks are
+            answered from the run's cost table and not counted.
     """
 
     evaluations: int

@@ -113,6 +113,11 @@ class _FleetSolver:
     for placement probes, :meth:`solve_many` for committed machines);
     results are always reassembled in submission order, so every backend
     returns the serial answer.
+
+    Placement probes are priced once per run: within one fleet problem the
+    calibration, resources and memory knob are fixed, so a machine's
+    hardware shape and its sorted tenant set determine the solve-memo key,
+    and :attr:`_priced` keeps the cost of every set already asked about.
     """
 
     def __init__(
@@ -126,6 +131,10 @@ class _FleetSolver:
         self.backend = backend if backend is not None else resolve_backend(None)
         self.stats = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
         self._stats_lock = threading.Lock()
+        self._hardware_keys = [machine.hardware_key for machine in problem.machines]
+        #: Gain-weighted cost (``+inf`` if infeasible) by (hardware shape,
+        #: sorted tenant set): every probe this run has already priced.
+        self._priced: Dict[Tuple[Any, Tuple[int, ...]], float] = {}
         # The bound must come from the enumerator that will actually divide
         # the machine: an instance-supplied enumerator may use a coarser
         # min_share than the advisor-level knob, and grid searches quantize
@@ -154,18 +163,34 @@ class _FleetSolver:
     def machine_costs(
         self, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
     ) -> List[float]:
-        """Price several candidate co-locations, fanned out on the backend.
+        """Price several candidate co-locations, each new one once per run.
 
         ``candidates`` is a sequence of ``(machine_index, tenant_indices)``
-        pairs; the returned costs align with it.  On the serial backend
-        this is exactly a loop of :meth:`_machine_cost` calls, so answers
-        (and tie-breaks downstream) are identical across backends.
+        pairs; the returned costs align with it.  Candidates whose
+        (hardware shape, tenant set) this run has not priced yet go to the
+        backend as one batch of :meth:`_machine_cost` tasks, deduplicated;
+        every candidate is then answered from the run's table, with the
+        float the solve-memo would have returned, so answers (and
+        tie-breaks downstream) are identical across backends.
         """
-        tasks = [
-            self._task(machine_index, tenant_indices, probe=True)
+        PLACEMENT_PROBES.inc(len(candidates))
+        keys = [
+            (self._hardware_keys[machine_index], tuple(sorted(tenant_indices)))
             for machine_index, tenant_indices in candidates
         ]
-        return self.backend.run(tasks)
+        priced = self._priced
+        fresh = {
+            key: machine_index
+            for key, (machine_index, _) in zip(keys, candidates)
+            if key not in priced
+        }
+        if fresh:
+            tasks = [
+                self._task(machine_index, tenants, probe=True)
+                for (_, tenants), machine_index in fresh.items()
+            ]
+            priced.update(zip(fresh, self.backend.run(tasks)))
+        return [priced[key] for key in keys]
 
     def _machine_cost(
         self, machine_index: int, tenant_indices: Tuple[int, ...]
@@ -184,7 +209,6 @@ class _FleetSolver:
             return math.inf
         finally:
             PROBE_LATENCY.observe(time.perf_counter() - started)
-            PLACEMENT_PROBES.inc()
         return weighted
 
     # ------------------------------------------------------------------

@@ -5,10 +5,10 @@ The cost layer already memoizes aggressively — the shared
 calibration, allocation) question — but a placement *probe* still re-runs
 the per-machine enumerator's search over those cached values every time it
 prices a candidate co-location.  On a warm fleet advisor that search is
-the dominant cost of a probe: greedy placement prices every (tenant,
-machine) pair, the local-search improver re-prices the same tenant sets
-across rounds, and machines sharing a ``hardware_key`` re-solve identical
-candidate sets from scratch.
+the dominant cost of a probe: a re-solved fleet, a served ``/fleet``
+request or a replayed trace period asks again about tenant sets an
+earlier run already solved, and machines sharing a ``hardware_key``
+share their candidate sets.
 
 :class:`SolveMemo` closes that gap by caching the *entire solve result* —
 the chosen allocation (as a :class:`~repro.api.report.RecommendationReport`)
@@ -17,7 +17,12 @@ depends on: the machine's hardware shape (+ calibration overrides), the
 tenant-set spec digest, and the problem's resource/memory-model knobs (see
 ``FleetAdvisor._solve_key``).  Each fleet advisor owns its memo and keeps
 one inner advisor for life, so answers never cross advisor configurations.
-A memo hit turns a repeat probe into one dictionary lookup.  Infeasible co-locations (the enumerator raised
+A memo hit turns a repeat probe into one dictionary lookup.  Within one
+placement run the fleet solver asks the memo only once per (hardware
+shape, tenant set) and answers repeat asks from its own per-run cost
+table, so the memo's hits come from across runs (warm re-solves, served
+``/fleet`` requests, trace replay) and from the committed solves that
+follow a run's probes.  Infeasible co-locations (the enumerator raised
 :class:`~repro.exceptions.OptimizationError`) are memoized too, as the
 error message, so repeatedly probing a QoS-blocked candidate never re-runs
 the search either.

@@ -61,8 +61,10 @@ class PlacementSolver(Protocol):
 
         A candidate's cost is its machine's objective after the advisor
         divides it (``+inf`` when no allocation is feasible).  The fleet
-        advisor's solver fans the batch out on the run's solver-execution
-        backend; results align with ``candidates``.
+        advisor's solver prices each (hardware shape, tenant set) once per
+        run: the batch's new sets fan out on the run's solver-execution
+        backend, and repeats are answered from the run's cost table.
+        Results align with ``candidates``.
         """
         ...
 

@@ -37,10 +37,12 @@ SOLVE_LATENCY = REGISTRY.histogram(
     buckets=LATENCY_BUCKETS,
 )
 
-#: Placement probes — candidate co-location pricings, memo hits included.
+#: Placement probes — the first ask of each candidate co-location in a
+#: placement run (memo hits included); repeat asks are answered from the
+#: run's cost table and only counted by PLACEMENT_PROBES.
 PROBE_LATENCY = REGISTRY.histogram(
     "repro_probe_latency_seconds",
-    "Wall time of placement probes (candidate co-location pricings).",
+    "Wall time of placement probes (first ask per run of each candidate co-location).",
     buckets=LATENCY_BUCKETS,
 )
 

@@ -10,10 +10,11 @@ names — whose labeled children hold the actual values::
     REQUESTS.labels(endpoint="fleet").inc()
 
 A family with no label names acts as its own single child (``inc`` /
-``set`` / ``observe`` directly on it).  All updates are lock-guarded per
-family, so concurrent solver threads produce exact totals; hot call
-sites bind their child once at import time (``labels()`` is memoized) so
-an update is one lock acquisition and one addition.
+``set`` / ``observe`` directly on it), which it binds once at
+registration.  All updates are lock-guarded per family, so concurrent
+solver threads produce exact totals; hot call sites of labeled families
+bind their child once at import time (``labels()`` is memoized) so an
+update is one lock acquisition and one addition.
 
 :func:`MetricsRegistry.render` emits the standard Prometheus text
 format (``text/plain; version=0.0.4``) with families and children in
@@ -286,6 +287,22 @@ class Histogram(_Child):
 _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+class _NeedsLabels:
+    """The default child of a labeled family: any use of it raises."""
+
+    __slots__ = ("_family",)
+
+    def __init__(self, family: "_Family") -> None:
+        self._family = family
+
+    def __getattr__(self, name: str) -> Any:
+        family = self._family
+        raise TelemetryError(
+            f"metric {family.name!r} has labels {list(family.labelnames)}; "
+            f"use .labels(...) to pick a child"
+        )
+
+
 class _Family:
     """One metric name: kind, help text, label names, labeled children."""
 
@@ -304,6 +321,8 @@ class _Family:
         self.buckets = buckets
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], Any] = {}
+        #: The child the unlabeled methods below act on, bound once.
+        self._child = self.labels() if not labelnames else _NeedsLabels(self)
 
     def labels(self, **labelvalues: Any) -> Any:
         """The child for one label-value combination (memoized)."""
@@ -320,47 +339,39 @@ class _Family:
                 self._children[key] = child
             return child
 
-    def _default_child(self) -> Any:
-        if self.labelnames:
-            raise TelemetryError(
-                f"metric {self.name!r} has labels {list(self.labelnames)}; "
-                f"use .labels(...) to pick a child"
-            )
-        return self.labels()
-
     # Unlabeled families act as their own child.
     def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
+        self._child.inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
+        self._child.dec(amount)
 
     def set(self, value: float) -> None:
-        self._default_child().set(value)
+        self._child.set(value)
 
     def set_function(self, callback: Callable[[], float]) -> None:
-        self._default_child().set_function(callback)
+        self._child.set_function(callback)
 
     def observe(self, value: float) -> None:
-        self._default_child().observe(value)
+        self._child.observe(value)
 
     @property
     def value(self) -> float:
-        return self._default_child().value
+        return self._child.value
 
     @property
     def count(self) -> int:
-        return self._default_child().count
+        return self._child.count
 
     @property
     def sum(self) -> float:
-        return self._default_child().sum
+        return self._child.sum
 
     def bucket_counts(self) -> List[Tuple[float, int]]:
-        return self._default_child().bucket_counts()
+        return self._child.bucket_counts()
 
     def quantile(self, q: float) -> Optional[float]:
-        return self._default_child().quantile(q)
+        return self._child.quantile(q)
 
     def children(self) -> List[Tuple[Tuple[str, ...], Any]]:
         with self._lock:

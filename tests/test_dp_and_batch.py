@@ -61,15 +61,18 @@ class SyntheticCostFunction(CostFunction):
 
 
 def _problem(tpch_sf1_queries, db2_calibration, gains, limits, resources):
-    workload = Workload("w", (WorkloadStatement(tpch_sf1_queries["q18"], 1.0),))
+    # One Workload object per tenant: the CostCache keys on workload
+    # identity, so tenants sharing one object would share cached costs,
+    # while SyntheticCostFunction gives each tenant its own surface.
+    statements = (WorkloadStatement(tpch_sf1_queries["q18"], 1.0),)
     tenants = tuple(
         ConsolidatedWorkload(
-            workload=workload,
+            workload=Workload(f"w{index}", statements),
             calibration=db2_calibration,
             gain_factor=gain,
             degradation_limit=limit,
         )
-        for gain, limit in zip(gains, limits)
+        for index, (gain, limit) in enumerate(zip(gains, limits))
     )
     return VirtualizationDesignProblem(
         tenants=tenants, resources=resources, fixed_memory_fraction=0.0625
@@ -416,6 +419,8 @@ class TestGreedyMatchesReprobingLoop:
             label="params",
         )
         problem = _problem(tpch_sf1_queries, db2_calibration, gains, limits, resources)
+        workloads = [tenant.workload for tenant in problem.tenants]
+        assert len({id(workload) for workload in workloads}) == n
         enumerator = GreedyConfigurationEnumerator(delta=delta)
 
         def costs():

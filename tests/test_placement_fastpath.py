@@ -3,12 +3,14 @@
 Covers the fleet solve-memo (:mod:`repro.fleet.solve_memo`) as a unit and
 wired into :class:`~repro.fleet.FleetAdvisor` (zero new DP searches on a
 warm re-solve, ``placement_solve_hits`` accounting, infeasibility caching,
-``clear_caches``), the ``placement_solve_hits`` round-trip through
-:class:`~repro.api.report.CostCallStats`, the submit/handle layer of the
-solver backends (laziness of the serial handle), custom solvers offering
-only the :class:`~repro.fleet.PlacementSolver` protocol, and the
-local-search improver and exhaustive baseline — including the measured
-greedy-vs-exact optimality gap that ``greedy-cost+ls`` must close.
+``clear_caches``), the fleet solver's per-run cost table (each hardware
+shape and tenant set priced once per run), the ``placement_solve_hits``
+round-trip through :class:`~repro.api.report.CostCallStats`, the
+submit/handle layer of the solver backends (laziness of the serial
+handle), custom solvers offering only the
+:class:`~repro.fleet.PlacementSolver` protocol, and the local-search
+improver and exhaustive baseline — including the measured greedy-vs-exact
+optimality gap that ``greedy-cost+ls`` must close.
 """
 
 import math
@@ -41,6 +43,7 @@ from repro.parallel.backends import (
     SolveTask,
     ThreadBackend,
 )
+from repro.telemetry.instruments import PLACEMENT_PROBES
 
 
 def small_fleet(n_tenants=4, n_machines=2, **overrides):
@@ -320,6 +323,59 @@ class TestAdvisorSolveMemo:
         assert stats_b.evaluations == 0
         assert weighted_b == weighted_a
         assert report_b.canonical_dict() == report_a.canonical_dict()
+
+
+# ----------------------------------------------------------------------
+# The per-run cost table: each (hardware, tenant set) is priced once
+# ----------------------------------------------------------------------
+class _RecordingBackend(SerialBackend):
+    """A serial backend that records the length of every batch it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def run(self, tasks):
+        self.batches.append(len(tasks))
+        return super().run(tasks)
+
+
+class TestPerRunCostTable:
+    @pytest.mark.parametrize(
+        "placement", ["bnb-fleet", "greedy-cost+ls", "greedy-cost"]
+    )
+    def test_cold_run_hits_the_memo_only_for_committed_solves(self, placement):
+        # Three identical machines: probes re-ask many sets, but a cold
+        # run prices each one once, so the only solve-memo hits are the
+        # committed per-machine solves of the final placement.
+        advisor = FleetAdvisor(delta=0.25)
+        report = advisor.recommend(
+            small_fleet(n_tenants=6, n_machines=3), placement=placement
+        )
+        occupied = sum(1 for machine in report.machines if machine.tenants)
+        assert occupied > 0
+        assert advisor.solve_memo.hits == occupied
+        assert report.cost_stats.placement_solve_hits == occupied
+
+    def test_repeat_asks_dispatch_no_task(self, shared_advisor):
+        problem = small_fleet(n_tenants=2, n_machines=2)
+        assert (
+            problem.machines[0].hardware_key == problem.machines[1].hardware_key
+        )
+        backend = _RecordingBackend()
+        solver = _FleetSolver(shared_advisor, problem, backend)
+        candidates = [(0, (0, 1)), (1, (1, 0))]
+
+        probes_before = PLACEMENT_PROBES.value
+        first = solver.machine_costs(candidates)
+        assert backend.batches == [1]
+        assert first[0] == first[1]
+        assert PLACEMENT_PROBES.value - probes_before == len(candidates)
+
+        probes_before = PLACEMENT_PROBES.value
+        assert solver.machine_costs(candidates) == first
+        assert backend.batches == [1]
+        assert PLACEMENT_PROBES.value - probes_before == len(candidates)
 
 
 # ----------------------------------------------------------------------

@@ -118,6 +118,24 @@ class TestMetricsRegistry:
         with pytest.raises(TelemetryError):
             family.labels(method="GET")
 
+    def test_labeled_family_refuses_unlabeled_updates(self):
+        # Unlabeled families bind their one child at registration; a
+        # labeled family has no default child to bind.
+        registry = MetricsRegistry()
+        counter = registry.counter("t_by_route", "help", labelnames=("route",))
+        histogram = registry.histogram(
+            "t_route_seconds", "help", buckets=(0.1,), labelnames=("route",)
+        )
+        for use in (
+            counter.inc,
+            lambda: counter.value,
+            lambda: histogram.observe(0.05),
+            lambda: histogram.count,
+        ):
+            with pytest.raises(TelemetryError, match="use .labels"):
+                use()
+        assert counter.children() == []
+
     def test_prometheus_exposition_shape(self):
         registry = MetricsRegistry()
         counter = registry.counter("t_requests_total", "Requests served.")
