@@ -14,7 +14,7 @@ The demo replays the same trace under three policies and compares them:
 * ``continuous`` — refinement only, never re-place (the paper's baseline);
 * ``static``   — the initial placement and allocations held throughout.
 
-It also replays the trace a second time to show the zero-evaluation
+It also replays the trace a second time and asserts the zero-evaluation
 repeat property: every cost question is answered from the shared cache.
 
 Run with::
@@ -88,6 +88,7 @@ def main() -> None:
     print(f"\nrepeated identical replay: "
           f"{repeat.cost_stats.evaluations} new cost evaluations, "
           f"{repeat.cost_stats.cache_hits} cache hits")
+    assert repeat.cost_stats.evaluations == 0
 
     document = dynamic.to_json()
     print(f"replay report serializes to {len(document)} bytes of JSON")

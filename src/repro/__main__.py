@@ -553,7 +553,7 @@ def _run_serve(args: argparse.Namespace) -> Optional[str]:
 
 
 #: The request document ``loadgen`` POSTs when none is given: a small
-#: two-tenant scenario whose repeats hit the service's scenario memo and
+#: two-tenant scenario whose repeats hit the service's pooled builder and
 #: cost caches — the warm serving path a capacity probe should measure.
 _LOADGEN_DEFAULT_SCENARIO = {
     "name": "loadgen-default",

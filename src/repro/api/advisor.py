@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core.advisor import Recommendation
@@ -59,9 +58,6 @@ from .strategies import (
     EnumerationStrategy,
 )
 
-#: How many problems' wrapped cost functions the advisor keeps alive.
-_DEFAULT_PROBLEM_MEMO_SIZE = 64
-
 EnumeratorSpec = Union[str, EnumerationStrategy]
 CostFunctionSpec = Union[str, CostFunctionLike]
 
@@ -83,7 +79,7 @@ class Advisor:
         cost_function: a cost-function instance (bound to one problem) or a
             name registered in :data:`~repro.api.strategies.COST_FUNCTIONS`
             (``"what-if"``, ``"actual"``).  Named cost functions are built
-            per problem and share one cost cache across problems and phases.
+            per call and share one cost cache across problems and phases.
         refinement: a name registered in
             :data:`~repro.api.strategies.REFINEMENTS` (``"basic"``,
             ``"generalized"``), or ``None`` to dispatch automatically on the
@@ -121,16 +117,11 @@ class Advisor:
         self._shared_caches: Dict[str, CostCache] = (
             shared_caches if shared_caches is not None else {}
         )
-        #: Per-problem wrapped cost functions (LRU on problem identity).
-        self._cost_functions: "OrderedDict[Tuple[int, str], Tuple[VirtualizationDesignProblem, CachedCostFunction]]" = (
-            OrderedDict()
-        )
-        #: Guards the two memos above.  Concurrent per-machine solves (the
-        #: thread solver backend) share one advisor; without the lock two
-        #: threads could race the check-then-create and hand out *different*
-        #: wrapped cost functions for one problem, splitting its cache
-        #: identity.  The lock is never held during a cost evaluation.
-        self._memo_lock = threading.Lock()
+        #: Guards the cache pool.  Concurrent per-machine solves (the thread
+        #: solver backend) share one advisor; without the lock two threads
+        #: could race the check-then-create and each start a cache for one
+        #: strategy, splitting its entries.  Never held during an evaluation.
+        self._caches_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Strategy resolution
@@ -172,18 +163,18 @@ class Advisor:
         problem: VirtualizationDesignProblem,
         override: Optional[CostFunctionSpec] = None,
     ) -> CachedCostFunction:
-        """The (memoized) wrapped cost function for ``problem``.
+        """A fresh cached cost function for ``problem``.
 
-        Repeated calls with the same problem return the same wrapper, which
-        is what makes a repeated ``recommend`` free of new cost evaluations.
+        Named strategies are built anew on every call over the strategy's
+        shared :class:`~repro.api.cache.CostCache`, which keys on the
+        tenants' workload and calibration objects, so a repeated
+        ``recommend`` evaluates nothing new.  An instance spec is
+        caller-owned and gets a private cache.
         """
         spec = override if override is not None else self._cost_function_spec
         if not isinstance(spec, str):
-            # Instance specs are caller-owned (often per-call temporaries),
-            # so they are wrapped fresh and never memoized — retaining them
-            # would keep dead estimators and their caches alive.  A cost
-            # function bound to an *equal* (re-built) problem is fine: equal
-            # problems yield identical costs.
+            # A cost function bound to an *equal* (re-built) problem is
+            # fine: equal problems yield identical costs.
             inner_problem = getattr(spec, "problem", None)
             if (
                 inner_problem is not None
@@ -194,19 +185,10 @@ class Advisor:
                     "the supplied cost function is bound to a different problem"
                 )
             return CachedCostFunction(problem, spec, CostCache())
-        memo_key = (id(problem), spec)
-        with self._memo_lock:
-            memoized = self._cost_functions.get(memo_key)
-            if memoized is not None and memoized[0] is problem:
-                self._cost_functions.move_to_end(memo_key)
-                return memoized[1]
-            inner = COST_FUNCTIONS.create(spec, problem=problem)
+        inner = COST_FUNCTIONS.create(spec, problem=problem)
+        with self._caches_lock:
             cache = self._shared_caches.setdefault(spec, CostCache())
-            wrapped = CachedCostFunction(problem, inner, cache)
-            self._cost_functions[memo_key] = (problem, wrapped)
-            while len(self._cost_functions) > _DEFAULT_PROBLEM_MEMO_SIZE:
-                self._cost_functions.popitem(last=False)
-            return wrapped
+        return CachedCostFunction(problem, inner, cache)
 
     def _grid_enumerator(self) -> EnumerationStrategy:
         """An enumerator with the delta/min_share grid attributes.
@@ -226,11 +208,10 @@ class Advisor:
         )
 
     def clear_caches(self) -> None:
-        """Drop all shared cost caches and per-problem wrappers."""
-        with self._memo_lock:
+        """Drop every value in the shared cost caches."""
+        with self._caches_lock:
             for cache in self._shared_caches.values():
                 cache.clear()
-            self._cost_functions.clear()
 
     def cache_stats(self) -> CostCallStats:
         """Aggregate traffic of the shared cost caches.
@@ -241,7 +222,7 @@ class Advisor:
         Long-running drivers (trace replay, fleets) difference two
         snapshots to report what one run actually evaluated.
         """
-        with self._memo_lock:
+        with self._caches_lock:
             caches = list(self._shared_caches.values())
         hits = sum(cache.hits for cache in caches)
         misses = sum(cache.misses for cache in caches)

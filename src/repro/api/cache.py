@@ -1,24 +1,25 @@
-"""Shared memoization of cost-function evaluations.
+"""The one memo of cost-function evaluations.
 
 Every phase of the advisor pipeline — greedy enumeration, exhaustive
 search, degradation reporting, online refinement — asks the same question:
 ``Cost(W_i, R_i)``.  The what-if estimator answers it by invoking the
 calibrated query optimizer, which is the dominant cost of a recommendation
-(Section 7.2 of the paper measures it).  The seed code cached those calls
-per cost-function *instance*, so every phase (and every re-built problem)
-re-paid the optimizer.
+(Section 7.2 of the paper measures it).  The cost functions of
+:mod:`repro.core.cost_estimator` evaluate on every call; this module is
+where an answer is remembered.
 
 :class:`CostCache` is a cache that can be shared across cost-function
-instances, problems, and phases.  It is keyed on the *content identity* of
-a tenant — the ``(workload, calibration)`` pair — plus the allocation
-vector, because the cost of a tenant depends on nothing else: degradation
-limits and gain factors are applied outside the raw cost, and the physical
+instances, problems, and phases.  It is keyed on the *identity* of a
+tenant's ``(workload, calibration)`` pair plus the allocation vector,
+because the cost of a tenant depends on nothing else: degradation limits
+and gain factors are applied outside the raw cost, and the physical
 machine is part of the calibration.  Experiment drivers re-wrap the same
 workload and calibration objects into fresh tenants and problems on every
-sweep step, so keying on the pair (rather than the tenant or the problem)
-lets a recommendation reuse every estimate made by earlier steps.
+sweep step, and :meth:`repro.api.builder.ProblemBuilder.consolidated` hands
+out one workload object per tenant-spec value, so a problem built afresh
+for every request still reuses every estimate made for an equal one.
 
-:class:`CachedCostFunction` is the per-problem view over a (possibly
+:class:`CachedCostFunction` is a cheap view of one problem over a (possibly
 shared) :class:`CostCache`; it exposes the same surface as
 :class:`repro.core.cost_estimator.CostFunction` so enumerators, refinement,
 and reports can use it interchangeably.
@@ -29,11 +30,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.cost_estimator import (
-    _CACHE_DECIMALS,
-    CostFunction,
-    _CachingCostFunction,
-)
+from ..core.cost_estimator import _CACHE_DECIMALS, CostFunction
 from ..core.problem import (
     ConsolidatedWorkload,
     ResourceAllocation,
@@ -224,26 +221,13 @@ class CachedCostFunction(CostFunction):
         self.inner = inner
         self.cache = cache if cache is not None else CostCache()
         self._namespace = getattr(inner, "cache_namespace", type(inner).__name__)
-        # The built-in estimators carry their own unbounded per-instance
-        # cache; route around it so values are not stored twice and the
-        # shared cache's max_entries actually bounds memory.  Unknown
-        # CostFunction subclasses keep their own cost() behavior.
-        if isinstance(inner, _CachingCostFunction):
-            self._evaluate = lambda index, allocation: CostFunction.cost(
-                inner, index, allocation
-            )
-            self._evaluate_many = lambda index, allocations: CostFunction.cost_many(
-                inner, index, allocations
-            )
+        batch = getattr(inner, "cost_many", None)
+        if callable(batch):
+            self._evaluate_many = batch
         else:
-            self._evaluate = inner.cost
-            batch = getattr(inner, "cost_many", None)
-            if callable(batch):
-                self._evaluate_many = batch
-            else:
-                self._evaluate_many = lambda index, allocations: [
-                    inner.cost(index, allocation) for allocation in allocations
-                ]
+            self._evaluate_many = lambda index, allocations: [
+                inner.cost(index, allocation) for allocation in allocations
+            ]
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -257,13 +241,6 @@ class CachedCostFunction(CostFunction):
     @property
     def evaluations(self) -> int:
         return self.inner.call_count
-
-    def clear_cache(self) -> None:
-        """Drop the shared cache and the wrapped function's own cache."""
-        self.cache.clear()
-        clear = getattr(self.inner, "clear_cache", None)
-        if clear is not None:
-            clear()
 
     # ------------------------------------------------------------------
     # CostFunction surface
@@ -281,7 +258,7 @@ class CachedCostFunction(CostFunction):
         cached = self.cache.get(self._namespace, tenant, allocation)
         if cached is not None:
             return cached
-        value = self._evaluate(tenant_index, allocation)
+        value = self.inner.cost(tenant_index, allocation)
         self.cache.put(self._namespace, tenant, allocation, value)
         return value
 

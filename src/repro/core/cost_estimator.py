@@ -4,8 +4,7 @@ The enumerator only needs one thing: ``cost(tenant_index, allocation)`` in
 seconds.  Three implementations are provided:
 
 * :class:`WhatIfCostEstimator` — the paper's primary mechanism: the
-  calibrated query optimizer in what-if mode (Section 4.1), with a cache so
-  that repeated greedy iterations reuse earlier optimizer calls.
+  calibrated query optimizer in what-if mode (Section 4.1).
 * :class:`ModelCostFunction` — wraps the linear / piecewise-linear /
   multi-resource cost models produced by online refinement (Section 5), so
   the advisor can be re-run against refined models without calling the
@@ -13,13 +12,17 @@ seconds.  Three implementations are provided:
 * :class:`ActualCostFunction` — "runs" the workload with the ground-truth
   execution model; the experiments use it both to observe actual costs and
   to find the true optimal allocation by exhaustive search.
+
+None of them caches: every call evaluates.  Repeated what-if questions are
+answered once, by :class:`repro.api.cache.CachedCostFunction` over a shared
+:class:`repro.api.cache.CostCache`.
 """
 
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from ..dbms.execution import ExecutionModel
 from ..exceptions import EstimationError
@@ -140,50 +143,7 @@ class CostFunction(ABC):
         return self.cost(tenant_index, allocation) / base
 
 
-class _CachingCostFunction(CostFunction):
-    """Base class adding an allocation-level cache."""
-
-    def __init__(self, problem: VirtualizationDesignProblem) -> None:
-        super().__init__(problem)
-        self._cache: Dict[Tuple[int, float, float], float] = {}
-
-    @staticmethod
-    def _key(tenant_index: int, allocation: ResourceAllocation) -> Tuple[int, float, float]:
-        return (
-            tenant_index,
-            round(allocation.cpu_share, _CACHE_DECIMALS),
-            round(allocation.memory_fraction, _CACHE_DECIMALS),
-        )
-
-    def cost(self, tenant_index: int, allocation: ResourceAllocation) -> float:
-        key = self._key(tenant_index, allocation)
-        if key in self._cache:
-            return self._cache[key]
-        value = super().cost(tenant_index, allocation)
-        self._cache[key] = value
-        return value
-
-    def cost_many(
-        self, tenant_index: int, allocations: Sequence[ResourceAllocation]
-    ) -> List[float]:
-        # Deduplicate misses within the batch so each distinct allocation is
-        # evaluated (and counted) exactly once, as repeated cost() calls would.
-        keys = [self._key(tenant_index, allocation) for allocation in allocations]
-        missing: Dict[Tuple[int, float, float], ResourceAllocation] = {}
-        for key, allocation in zip(keys, allocations):
-            if key not in self._cache:
-                missing.setdefault(key, allocation)
-        if missing:
-            values = super().cost_many(tenant_index, list(missing.values()))
-            self._cache.update(zip(missing, values))
-        return [self._cache[key] for key in keys]
-
-    def clear_cache(self) -> None:
-        """Drop all cached costs."""
-        self._cache.clear()
-
-
-class WhatIfCostEstimator(_CachingCostFunction):
+class WhatIfCostEstimator(CostFunction):
     """Cost estimation via the calibrated query optimizers (Section 4.1)."""
 
     def _cost(self, tenant_index: int, allocation: ResourceAllocation) -> float:
@@ -204,7 +164,7 @@ class WhatIfCostEstimator(_CachingCostFunction):
         )
 
 
-class ModelCostFunction(_CachingCostFunction):
+class ModelCostFunction(CostFunction):
     """Cost function backed by per-tenant fitted cost models.
 
     ``models`` maps tenant index to an object with a
@@ -244,7 +204,7 @@ class ModelCostFunction(_CachingCostFunction):
         return self._cache_namespace
 
 
-class ActualCostFunction(_CachingCostFunction):
+class ActualCostFunction(CostFunction):
     """Ground-truth workload cost: the simulated "actual" execution time.
 
     This is what the paper measures by configuring the VMs as recommended

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.cost_estimator import ActualCostFunction, WhatIfCostEstimator
 from ..core.problem import ResourceAllocation, VirtualizationDesignProblem
 from ..core.refinement import BasicOnlineRefinement, GeneralizedOnlineRefinement
 from ..workloads.generator import random_mixed_workloads, sortheap_sensitive_workloads
@@ -66,7 +65,7 @@ def _run_refinement(
 ) -> RefinementExperimentResult:
     points = []
     for n, problem in sorted(problems.items()):
-        estimator = WhatIfCostEstimator(problem)
+        estimator = context.estimator(problem)
         actuals = context.actuals(problem)
         initial = context.advisor.enumerator.enumerate(problem, estimator)
         improvement_before = context.measured_improvement(

@@ -12,8 +12,9 @@ then be divided?* — by composing two existing pieces:
 The advisor keeps one calibrated :class:`~repro.api.ProblemBuilder` per
 *distinct hardware shape* (two fleet machines with equal capacity share one
 calibration, exactly as one physical testbed serves many identical racks),
-memoizes the per-machine design problems it materializes, and runs every
-per-machine solve through the inner advisor's shared
+memoizes whole per-machine solves by value
+(:class:`~repro.fleet.solve_memo.SolveMemo`), and runs every per-machine
+solve through the inner advisor's shared
 :class:`~repro.api.cache.CostCache`.  Consequences:
 
 * the ``"greedy-cost"`` strategy's placement probes price each candidate
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.advisor import Advisor
@@ -61,13 +61,6 @@ from .strategies import PLACEMENTS, PlacementStrategy, greedy_assign
 _BuilderKey = Tuple[Tuple[float, float, int], Tuple[Tuple[str, Any], ...]]
 
 PlacementSpec = Union[str, PlacementStrategy]
-
-#: Bound on the fleet advisor's memoized design problems.  Eviction never
-#: affects correctness — a re-materialized problem merely re-prices
-#: allocations the shared cost cache no longer recognizes — and the bound
-#: comfortably covers a greedy-cost run (~tenants × machines problems per
-#: fleet).
-_PROBLEM_MEMO_SIZE = 1024
 
 #: The accounting a memo-served solve contributes: no evaluations, no
 #: cache traffic — one whole enumerator search skipped.
@@ -102,10 +95,9 @@ class _FleetSolver:
     """Prices candidate co-locations for one fleet problem.
 
     This is the :class:`~repro.fleet.strategies.PlacementSolver` handed to
-    placement strategies.  It materializes per-machine design problems
-    (memoized by machine hardware and tenant set, so value-equal requests
-    return the *same* problem object and hit the inner advisor's caches),
-    solves them with the shared :class:`~repro.api.Advisor`, and keeps the
+    placement strategies.  It solves per-machine design problems through
+    :meth:`FleetAdvisor.solve_machine` (the shared
+    :class:`~repro.api.Advisor` behind the solve-memo) and keeps the
     aggregated cost-call statistics of everything the run asked for.
 
     Independent solves fan out through the run's
@@ -305,30 +297,18 @@ class FleetAdvisor:
         #: Each builder memoizes its consolidated workloads by tenant-spec
         #: value, so re-materializing a tenant returns the same object.
         self._builders: Dict[_BuilderKey, ProblemBuilder] = {}
-        #: Memoized design problems, keyed by value (hardware, tenant specs,
-        #: resources) so re-materializing the same machine/tenant set
-        #: returns the identical object — the inner advisor's cost-function
-        #: memo keys on problem identity, so its shared cost cache keeps
-        #: answering for it.  LRU-bounded so a long-lived advisor serving
-        #: many distinct fleets cannot grow without limit (mirroring the
-        #: inner advisor's bounds).
-        self._problem_memo: "OrderedDict[Any, VirtualizationDesignProblem]" = (
-            OrderedDict()
-        )
         #: Whole per-machine solve results — report + gain-weighted cost —
         #: keyed by (hardware, tenant-set specs, resource knobs).  Where the
-        #: problem memo saves re-*materializing* a design and the cost cache
-        #: saves re-*evaluating* allocations, this saves re-*searching*: a
-        #: repeated placement probe or committed division is one dictionary
-        #: lookup (it has its own lock; see :mod:`repro.fleet.solve_memo`).
+        #: cost cache saves re-*evaluating* allocations, this saves
+        #: re-*searching*: a repeated placement probe or committed division
+        #: is one dictionary lookup (it has its own lock; see
+        #: :mod:`repro.fleet.solve_memo`).
         self.solve_memo = SolveMemo(DEFAULT_SOLVE_MEMO_SIZE)
-        #: Guards the builder map and the problem memo.  Concurrent
-        #: per-machine solves (thread backend) materialize problems through
-        #: one fleet advisor; the reentrant lock keeps the check-then-create
-        #: chain (problem memo → builder) atomic so value-equal requests
-        #: always return the *same* objects — the identity the shared cost
-        #: cache answers for.
-        self._memo_lock = threading.RLock()
+        #: Guards the builder map.  Concurrent per-machine solves (thread
+        #: backend) materialize problems through one fleet advisor; the lock
+        #: keeps the check-then-create atomic so one hardware shape never
+        #: gets two builders (and two calibrations).
+        self._builders_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Strategy resolution
@@ -370,7 +350,7 @@ class FleetAdvisor:
         matter how many of them the fleet contains.
         """
         key = self._builder_key(machine, problem)
-        with self._memo_lock:
+        with self._builders_lock:
             builder = self._builders.get(key)
             if builder is None:
                 physical = machine.physical()
@@ -383,52 +363,30 @@ class FleetAdvisor:
                 self._builders[key] = builder
             return builder
 
-    def _design_problem(
-        self,
-        problem: FleetProblem,
-        machine: Machine,
-        tenant_indices: Tuple[int, ...],
-    ) -> VirtualizationDesignProblem:
-        """The (memoized) per-machine design problem for a tenant set."""
-        specs = tuple(problem.tenants[index].spec for index in tenant_indices)
-        key = (
-            self._builder_key(machine, problem),
-            specs,
-            problem.resources,
-            problem.fixed_memory_fraction,
-        )
-        with self._memo_lock:
-            memoized = self._problem_memo.get(key)
-            if memoized is not None:
-                self._problem_memo.move_to_end(key)
-                return memoized
-            builder = self._builder_for(machine, problem)
-            design = VirtualizationDesignProblem(
-                tenants=tuple(builder.consolidated(spec) for spec in specs),
-                resources=problem.resources,
-                fixed_memory_fraction=problem.fixed_memory_fraction,
-            )
-            self._problem_memo[key] = design
-            while len(self._problem_memo) > _PROBLEM_MEMO_SIZE:
-                self._problem_memo.popitem(last=False)
-            return design
-
     def machine_problem(
         self,
         problem: FleetProblem,
         machine_index: int,
         tenant_indices: Tuple[int, ...],
     ) -> VirtualizationDesignProblem:
-        """The per-machine design problem for a tenant set (public view).
+        """The per-machine design problem for a tenant set, tenants sorted.
 
-        Memoized by value: asking for the same machine hardware and tenant
-        specs again returns the *same* problem object, whose workloads the
-        shared cost cache keeps answering for.  The trace replayer uses
-        this to materialize each period's per-machine problems.
+        Built on every call from the hardware shape's builder, whose
+        by-value memo hands out the same consolidated workloads for equal
+        tenant specs, so the shared cost cache answers for every rebuild.
+        The trace replayer uses this to materialize each period's
+        per-machine problems.
         """
-        ordered = tuple(sorted(tenant_indices))
         machine = problem.machines[machine_index]
-        return self._design_problem(problem, machine, ordered)
+        builder = self._builder_for(machine, problem)
+        return VirtualizationDesignProblem(
+            tenants=tuple(
+                builder.consolidated(problem.tenants[index].spec)
+                for index in sorted(tenant_indices)
+            ),
+            resources=problem.resources,
+            fixed_memory_fraction=problem.fixed_memory_fraction,
+        )
 
     # ------------------------------------------------------------------
     # Memoized per-machine solves (the placement fast path)
@@ -438,13 +396,12 @@ class FleetAdvisor:
     ) -> Tuple[Any, ...]:
         """The solve-memo key: everything the machine's answer depends on.
 
-        Mirrors the design-problem memo key — hardware shape (+ calibration
-        overrides), tenant-set spec values, resource knobs.  The memo
-        belongs to this fleet advisor, whose inner advisor is fixed, so
-        the advisor's configuration need not be part of the key.  Two
-        machines sharing a ``hardware_key``, or two value-equal fleets,
-        therefore share solve results exactly as they share cost-cache
-        entries.
+        Hardware shape (+ calibration overrides), tenant-set spec values,
+        resource knobs.  The memo belongs to this fleet advisor, whose
+        inner advisor is fixed, so the advisor's configuration need not be
+        part of the key.  Two machines sharing a ``hardware_key``, or two
+        value-equal fleets, therefore share solve results exactly as they
+        share cost-cache entries.
         """
         specs = tuple(problem.tenants[index].spec for index in ordered)
         return (
@@ -478,7 +435,7 @@ class FleetAdvisor:
         if cached is not None:
             report, weighted = cached
             return report, weighted, _MEMO_HIT_STATS
-        design = self._design_problem(problem, machine, ordered)
+        design = self.machine_problem(problem, machine_index, ordered)
         try:
             report = self.advisor.recommend(design)
         except OptimizationError as error:
@@ -492,10 +449,9 @@ class FleetAdvisor:
         return report, weighted, report.cost_stats
 
     def clear_caches(self) -> None:
-        """Drop the calibrated builders, memoized problems, and cost caches."""
-        with self._memo_lock:
+        """Drop the calibrated builders, the solve-memo, and the cost caches."""
+        with self._builders_lock:
             self._builders.clear()
-            self._problem_memo.clear()
         self.solve_memo.clear()
         self.advisor.clear_caches()
 
@@ -609,9 +565,9 @@ class FleetAdvisor:
         pulled off their machines and greedily re-placed where the marginal
         gain-weighted cost increase is smallest; everybody else stays put.
 
-        Because per-machine problems are memoized by value and every solve
+        Because per-machine solves are memoized by value and every solve
         runs through the shared cost cache, machines whose tenant set and
-        workloads did not change are re-priced entirely from the cache:
+        workloads did not change are re-priced entirely from the caches:
         only the moved tenants (and the machines they leave or join) cost
         new evaluations, which is what makes trace-driven re-placement
         cheap to run every monitoring period.  ``backend`` / ``jobs``

@@ -16,8 +16,8 @@ Backends live behind the same open
 * ``"serial"`` — run tasks inline, in order; the default, and byte-for-byte
   the pre-subsystem behavior.
 * ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor`.  All
-  state is shared, so solves cooperate through the same memoized problems
-  and the thread-safe :class:`~repro.api.cache.CostCache`.  Real speedup
+  state is shared, so solves cooperate through the same solve-memo and
+  the thread-safe :class:`~repro.api.cache.CostCache`.  Real speedup
   requires the per-solve work to release the GIL — which the production
   deployment's what-if calls do (they are RPCs to a DBMS optimizer; see
   :mod:`repro.parallel.simulated`).

@@ -54,8 +54,6 @@ from ..virt.machine import PhysicalMachine
 #: How many hardware profiles (machine + calibration overrides) the
 #: service keeps calibrated builders for.
 _BUILDER_POOL_SIZE = 8
-#: How many distinct scenario problems the service keeps materialized.
-_PROBLEM_MEMO_SIZE = 64
 
 #: Version of the ``/stats`` payload shape.  Bumped whenever a field is
 #: added, renamed, or removed, so clients can dispatch without sniffing
@@ -135,9 +133,9 @@ class AdvisorService:
         self.caches = _SharedCachePool()
         self.backend = resolve_backend(backend, jobs)
         self._advisor_options = dict(advisor_options)
-        #: The one long-lived fleet advisor (thread-safe; its by-value
-        #: problem memos are what let concurrent and repeated fleet
-        #: requests share cache identity).
+        #: The one long-lived fleet advisor (thread-safe; its per-hardware
+        #: builders are what let concurrent and repeated fleet requests
+        #: share cache identity).
         self.fleet_advisor = FleetAdvisor(
             placement=placement,
             advisor=Advisor(shared_caches=self.caches, **advisor_options),
@@ -145,8 +143,6 @@ class AdvisorService:
         )
         #: Calibrated builders per hardware profile, LRU-bounded.
         self._builders: "OrderedDict[str, ProblemBuilder]" = OrderedDict()
-        #: Materialized scenario problems by value, LRU-bounded.
-        self._problems: "OrderedDict[Any, VirtualizationDesignProblem]" = OrderedDict()
         #: Guards the pools and the request accounting below.
         self._lock = threading.RLock()
         self._in_flight = 0
@@ -159,9 +155,9 @@ class AdvisorService:
     def advisor(self, **options: Any) -> Advisor:
         """A fresh advisor for one request, over the shared cache pool.
 
-        Requests never share an advisor object — its strategy state and
-        per-problem memos belong to the request that created it — but all
-        advisors answer from (and feed) the same process-wide caches.
+        Requests never share an advisor object — its strategy state
+        belongs to the request that created it — but all advisors answer
+        from (and feed) the same process-wide caches.
         """
         merged = {**self._advisor_options, **options}
         return Advisor(shared_caches=self.caches, **merged)
@@ -205,37 +201,19 @@ class AdvisorService:
         )
 
     def _scenario_problem(self, scenario: Scenario) -> VirtualizationDesignProblem:
-        key = (
-            self._profile_key(scenario.machine, scenario.calibration),
-            scenario.tenants,
-            scenario.resources,
-            float(scenario.fixed_memory_fraction),
-        )
-        with self._lock:
-            memoized = self._problems.get(key)
-            if memoized is not None:
-                self._problems.move_to_end(key)
-                return memoized
+        """A scenario's design problem, built from the pooled builder.
+
+        Built outside the service lock: calibration can be slow and must
+        not serialize unrelated requests.  The builder's by-value memo
+        hands out the same workload objects for equal tenant specs, so the
+        shared cost cache answers for every rebuild.
+        """
         builder = self.builder(scenario.machine, scenario.calibration)
-        # Materialize outside the service lock — calibration can be slow
-        # and must not serialize unrelated requests.  Two requests racing
-        # the same key still get identical *workload* objects (the
-        # builder's by-value memo), so whichever problem wins the memo the
-        # cost-cache identity is the same.
-        tenants = tuple(builder.consolidated(spec) for spec in scenario.tenants)
-        problem = VirtualizationDesignProblem(
-            tenants=tenants,
+        return VirtualizationDesignProblem(
+            tenants=tuple(builder.consolidated(spec) for spec in scenario.tenants),
             resources=scenario.resources,
             fixed_memory_fraction=scenario.fixed_memory_fraction,
         )
-        with self._lock:
-            existing = self._problems.get(key)
-            if existing is not None:
-                return existing
-            self._problems[key] = problem
-            while len(self._problems) > _PROBLEM_MEMO_SIZE:
-                self._problems.popitem(last=False)
-        return problem
 
     # ------------------------------------------------------------------
     # Endpoints

@@ -8,8 +8,11 @@ evaluations.
 """
 
 import copy
+import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
@@ -538,12 +541,13 @@ class TestCostCache:
         assert cache.size <= cache.max_entries
 
     def test_concurrent_memos_hand_out_one_object_per_key(self, fast_calibration):
-        # Companion regression test to the CostCache one, for the *memos*
-        # above the cache: Advisor.cost_function's per-problem wrapper memo
-        # and ProblemBuilder.consolidated's by-value memo are the identity
-        # sources the shared cost cache answers for, so a race that creates
-        # two objects for one key silently splits the cache.  Hammer both
-        # from many threads and assert each key resolved to one object.
+        # Companion regression test to the CostCache one, for what the
+        # cache's identity rests on: ProblemBuilder.consolidated's by-value
+        # memo hands out the workload objects the cache keys on, and
+        # Advisor.cost_function's cache pool the one cache per strategy.  A
+        # race that creates two objects for one key silently splits the
+        # cache.  Hammer both from many threads and assert each key
+        # resolved to one object.
         import threading
 
         from repro.api.builder import ProblemBuilder
@@ -592,9 +596,9 @@ class TestCostCache:
         for thread in threads:
             thread.join()
         assert not errors
-        # One wrapped cost function per (problem, strategy) across threads.
-        wrappers = {id(result[1]) for result in results}
-        assert len(wrappers) == 1
+        # Every wrapper, whichever thread built it, shares one CostCache.
+        caches = {id(result[1].cache) for result in results}
+        assert len(caches) == 1
         # One consolidated workload object per spec value across threads.
         by_name = {}
         for consolidated, _ in results:
@@ -614,6 +618,20 @@ class TestAdvisor:
         assert second.cost_stats.cache_hits > 0
         assert second.recommendation.cost_calls == 0
         assert second.allocations == first.allocations
+
+    def test_recommend_does_not_retain_the_problem(self, scenario, scenario_problem):
+        # The shared cache pins workloads and calibrations, never the
+        # problem: a rebuilt problem over the same workloads is still
+        # answered from the cache once the first one is gone.
+        advisor = Advisor(**scenario.advisor)
+        problem = dataclasses.replace(scenario_problem)
+        advisor.recommend(problem)
+        released = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert released() is None
+        repeat = advisor.recommend(dataclasses.replace(scenario_problem))
+        assert repeat.cost_stats.evaluations == 0
 
     def test_greedy_and_exhaustive_both_solve_one_scenario(self, scenario, scenario_problem):
         greedy = Advisor(enumerator="greedy", **scenario.advisor).recommend(

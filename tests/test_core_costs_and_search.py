@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.cache import CachedCostFunction, CostCache
 from repro.core.cost_estimator import (
     ActualCostFunction,
     ModelCostFunction,
@@ -63,12 +64,14 @@ class TestWhatIfCostEstimator:
         assert all(later <= earlier * 1.0001 for earlier, later in zip(costs, costs[1:]))
 
     def test_cache_avoids_repeated_work(self, cpu_problem):
-        estimator = WhatIfCostEstimator(cpu_problem)
+        costs = CachedCostFunction(
+            cpu_problem, WhatIfCostEstimator(cpu_problem), CostCache()
+        )
         allocation = cpu_problem.make_allocation(0.5)
-        estimator.cost(0, allocation)
-        calls_after_first = estimator.call_count
-        estimator.cost(0, allocation)
-        assert estimator.call_count == calls_after_first
+        first = costs.cost(0, allocation)
+        calls_after_first = costs.call_count
+        assert costs.cost(0, allocation) == first
+        assert costs.call_count == calls_after_first == 1
 
     def test_weighted_cost_applies_gain_factor(self, tpch_sf1_queries, db2_calibration):
         workload = Workload("w", (WorkloadStatement(tpch_sf1_queries["q18"], 1.0),))

@@ -8,8 +8,10 @@ acceptance property that a repeated fleet recommendation performs zero
 new cost-estimator evaluations through the shared cost cache.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -352,6 +354,23 @@ class TestFleetAdvisor:
         second = advisor.recommend(rebuilt)
         assert second.cost_stats.evaluations == 0
         assert second.placement == first.placement
+
+    def test_machine_problem_is_built_per_call_and_not_retained(self):
+        advisor = FleetAdvisor(delta=0.25)
+        problem = small_fleet()
+        design = advisor.machine_problem(problem, 0, (2, 0))
+        assert [tenant.name for tenant in design.tenants] == ["t1", "t3"]
+        released = weakref.ref(design)
+        del design
+        gc.collect()
+        assert released() is None
+        # Each ask builds a fresh, equal problem over the same workloads
+        # (the builder's by-value memo), which the cost cache keys on.
+        first = advisor.machine_problem(problem, 0, (0, 2))
+        again = advisor.machine_problem(problem, 0, (2, 0))
+        assert again is not first
+        assert again == first
+        assert all(a is b for a, b in zip(first.tenants, again.tenants))
 
     def test_identical_hardware_shares_one_calibration(self, fleet_advisor):
         problem = small_fleet(n_tenants=2, n_machines=2)

@@ -15,6 +15,7 @@ delayed-ACK stall.
 
 import asyncio
 import copy
+import gc
 import http.client
 import json
 import socket
@@ -29,6 +30,7 @@ import pytest
 
 from repro.api import Advisor, AsyncAdvisor, AsyncFleetAdvisor, Scenario
 from repro.api.report import RecommendationReport
+from repro.core.problem import VirtualizationDesignProblem
 from repro.exceptions import ConfigurationError
 from repro.fleet import FleetAdvisor, FleetProblem
 from repro.fleet.report import FleetReport
@@ -225,6 +227,22 @@ class TestAdvisorService:
         # the per-request advisor is fresh, the cache pool is not.
         assert repeat.cost_stats.evaluations == 0
         assert service.cache_stats().hit_rate > 0
+
+    def test_recommend_leaves_no_problem_alive(self):
+        def live_problems():
+            gc.collect()
+            return sum(
+                isinstance(thing, VirtualizationDesignProblem)
+                for thing in gc.get_objects()
+            )
+
+        with AdvisorService(**ADVISOR_OPTIONS) as service:
+            before = live_problems()
+            for index in range(8):
+                document = copy.deepcopy(SCENARIO)
+                document["tenants"][0]["statements"] = [["q18", 2.0 + index]]
+                assert service.recommend(document).cost_stats.evaluations > 0
+            assert live_problems() == before
 
     def test_per_request_advisors_are_fresh_but_share_caches(self, service):
         first, second = service.advisor(), service.advisor()
