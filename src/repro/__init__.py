@@ -29,9 +29,8 @@ The package provides:
   bit for bit (:mod:`repro.parallel`),
 * the serving tier — :class:`~repro.service.AdvisorService` hosting the
   advisor for concurrent callers over one process-wide cost-cache pool,
-  awaitable :class:`~repro.service.AsyncAdvisor` /
-  :class:`~repro.service.AsyncFleetAdvisor` faces, and the stdlib-only
-  HTTP server behind ``python -m repro serve`` (:mod:`repro.service`), and
+  and the stdlib-only HTTP server behind ``python -m repro serve``
+  (:mod:`repro.service`), and
 * the experiment harness reproducing every figure of the paper's evaluation
   (:mod:`repro.experiments`).
 
@@ -97,13 +96,7 @@ from .parallel import (
     ThreadBackend,
     resolve_backend,
 )
-from .service import (
-    AdvisorHTTPServer,
-    AdvisorService,
-    AsyncAdvisor,
-    AsyncFleetAdvisor,
-    serve,
-)
+from .service import AdvisorHTTPServer, AdvisorService, serve
 from .traces import (
     FleetTraceReplayer,
     ReplayReport,
@@ -118,8 +111,6 @@ __all__ = [
     "Advisor",
     "AdvisorHTTPServer",
     "AdvisorService",
-    "AsyncAdvisor",
-    "AsyncFleetAdvisor",
     "AsyncioBackend",
     "BACKENDS",
     "CalibrationSettings",

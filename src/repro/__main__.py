@@ -66,7 +66,7 @@ from typing import Any, List, Optional
 from . import __version__
 from .api import Advisor, Scenario
 from .exceptions import ReproError
-from .fleet import PLACEMENTS, FleetAdvisor, FleetProblem
+from .fleet import PLACEMENTS, FleetAdvisor, FleetProblem, resolve_placement
 from .parallel import BACKENDS
 from .traces import POLICIES, POLICY_DYNAMIC, FleetTraceReplayer, TraceReplayer, WorkloadTrace
 
@@ -478,37 +478,12 @@ def _run_recommend(args: argparse.Namespace) -> str:
 
 def _run_fleet(args: argparse.Namespace) -> str:
     problem = FleetProblem.from_json(_read(args.fleet))
-    bnb_budgets = (
-        args.bnb_max_nodes is not None or args.bnb_max_seconds is not None
+    placement = resolve_placement(
+        args.placement, args.local_search, args.bnb_max_nodes, args.bnb_max_seconds
     )
-    if bnb_budgets and args.local_search is not None:
-        raise ReproError(
-            "--local-search selects greedy-cost+ls but --bnb-max-nodes/"
-            "--bnb-max-seconds select bnb-fleet; pass only one family"
-        )
-    if bnb_budgets:
-        name = args.placement or "bnb-fleet"
-        if name != "bnb-fleet":
-            raise ReproError(
-                f"--bnb-max-nodes/--bnb-max-seconds only apply to "
-                f"--placement bnb-fleet, not {name!r}"
-            )
-        options = {}
-        if args.bnb_max_nodes is not None:
-            options["max_nodes"] = args.bnb_max_nodes
-        if args.bnb_max_seconds is not None:
-            options["max_seconds"] = args.bnb_max_seconds
-        placement = PLACEMENTS.create(name, **options)
-    elif args.local_search is not None:
-        name = args.placement or "greedy-cost+ls"
-        placement = PLACEMENTS.create(name, max_rounds=args.local_search)
-    else:
-        placement = args.placement or "greedy-cost"
-    advisor = FleetAdvisor(
-        placement=placement, backend=args.backend, jobs=args.jobs
-    )
+    advisor = FleetAdvisor(backend=args.backend, jobs=args.jobs)
     try:
-        report = advisor.recommend(problem)
+        report = advisor.recommend(problem, placement=placement)
     finally:
         advisor.backend.close()
     return report.to_json(indent=args.indent)
@@ -535,7 +510,7 @@ def _run_replay(args: argparse.Namespace) -> str:
 def _run_serve(args: argparse.Namespace) -> Optional[str]:
     # Imported here: the serving tier is needed only by this subcommand.
     from .service import DEFAULT_HOST, DEFAULT_PORT, AdvisorService, serve
-    from .service.async_api import DEFAULT_MAX_CONCURRENCY
+    from .service.http import DEFAULT_MAX_CONCURRENCY
 
     service = AdvisorService(backend=args.backend, jobs=args.jobs)
     serve(

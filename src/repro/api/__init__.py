@@ -20,11 +20,9 @@ around the paper's pipeline (Figure 3) as three layers:
   timing / cost-call statistics, and serializes with ``to_dict`` /
   ``to_json``.
 
-The awaitable faces — :class:`~repro.service.async_api.AsyncAdvisor` and
-:class:`~repro.service.async_api.AsyncFleetAdvisor` — are re-exported
-here lazily (they live in :mod:`repro.service`, one tier up), so
-``from repro.api import AsyncAdvisor`` works without importing the
-serving tier at library-import time.
+The advisor is synchronous and thread-safe; inside an event loop, await
+it on a worker thread with ``await asyncio.to_thread(advisor.recommend,
+problem)``.
 """
 
 from .advisor import Advisor
@@ -48,24 +46,9 @@ from .strategies import (
     UnknownStrategyError,
 )
 
-#: Async entry points resolved on first attribute access (PEP 562): the
-#: service tier imports this package, so importing it eagerly here would
-#: be circular.
-_ASYNC_EXPORTS = ("AsyncAdvisor", "AsyncFleetAdvisor")
-
-
-def __getattr__(name: str):
-    if name in _ASYNC_EXPORTS:
-        from ..service import async_api
-
-        return getattr(async_api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Advisor",
-    "AsyncAdvisor",
-    "AsyncFleetAdvisor",
     "CachedCostFunction",
     "CostCache",
     "CostCallStats",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..core.advisor import Recommendation
 from ..core.dynamic import DynamicConfigurationManager
@@ -313,26 +313,20 @@ class Advisor:
         )
 
     def recommend_exhaustive(
-        self,
-        problem: VirtualizationDesignProblem,
-        cost_function: Optional[CostFunctionSpec] = None,
-        delta: Optional[float] = None,
+        self, problem: VirtualizationDesignProblem
     ) -> RecommendationReport:
         """Recommend by optimal grid search (the paper's exhaustive baseline).
 
         The optimum comes from the exact dynamic program
-        (:class:`~repro.core.enumerator.DynamicProgrammingSearch`), which
-        has no combination budget; the report's provenance names it
-        ``"exhaustive-dp"``.
+        (:class:`~repro.core.enumerator.DynamicProgrammingSearch`) on the
+        advisor's grid, which has no combination budget; the report's
+        provenance names it ``"exhaustive-dp"``.
         """
-        grid_delta = (
-            delta if delta is not None else getattr(self.enumerator, "delta", self.delta)
-        )
         search = DynamicProgrammingSearch(
-            delta=grid_delta,
+            delta=getattr(self.enumerator, "delta", self.delta),
             min_share=getattr(self.enumerator, "min_share", self.min_share),
         )
-        report = self.recommend(problem, cost_function=cost_function, enumerator=search)
+        report = self.recommend(problem, enumerator=search)
         provenance = StrategyProvenance(
             enumerator="exhaustive-dp",
             cost_function=report.provenance.cost_function,
@@ -392,23 +386,17 @@ class Advisor:
     def refine(
         self,
         problem: VirtualizationDesignProblem,
-        actual_costs: Optional[CostFunctionSpec] = None,
-        estimator: Optional[CostFunctionSpec] = None,
-        refinement: Optional[str] = None,
         max_iterations: int = 8,
     ) -> RefinementResult:
         """Refine the recommendation using observed workload execution times.
 
-        The estimator defaults to the advisor's (shared-cache) cost
-        function, so refinement reuses every estimate the recommend phase
-        already made; the observed costs default to the ``"actual"``
-        strategy.
+        The estimator is the advisor's (shared-cache) cost function, so
+        refinement reuses every estimate the recommend phase already made;
+        the observed costs come from the ``"actual"`` strategy.
         """
-        estimator_fn = self.cost_function(problem, estimator)
-        actual_fn = self.cost_function(
-            problem, actual_costs if actual_costs is not None else "actual"
-        )
-        spec = refinement or self._refinement_spec
+        estimator_fn = self.cost_function(problem)
+        actual_fn = self.cost_function(problem, "actual")
+        spec = self._refinement_spec
         if spec is None:
             spec = "basic" if len(problem.resources) == 1 else "generalized"
         strategy = REFINEMENTS.create(
@@ -428,24 +416,21 @@ class Advisor:
         self,
         problem: VirtualizationDesignProblem,
         always_refine: bool = False,
-        actual_cost_factory: Optional[Callable] = None,
     ) -> DynamicConfigurationManager:
         """Create a dynamic configuration manager for a (CPU-only) problem.
 
-        The manager's what-if estimates and (by default) its observed
-        "actual" costs are served through the advisor's shared cost caches,
-        so replaying the same sequence of period workloads twice — e.g. a
-        repeated :class:`~repro.traces.replay.TraceReplayer` run — performs
-        zero new cost-estimator evaluations the second time.
+        The manager's what-if estimates and its observed "actual" costs are
+        served through the advisor's shared cost caches, so replaying the
+        same sequence of period workloads twice — e.g. a repeated
+        :class:`~repro.traces.replay.TraceReplayer` run — performs zero new
+        cost-estimator evaluations the second time.
         """
         return DynamicConfigurationManager(
             base_problem=problem,
             enumerator=self._grid_enumerator(),
             always_refine=always_refine,
-            actual_cost_factory=(
-                actual_cost_factory
-                if actual_cost_factory is not None
-                else lambda period_problem: self.cost_function(period_problem, "actual")
+            actual_cost_factory=lambda period_problem: self.cost_function(
+                period_problem, "actual"
             ),
             estimator_factory=lambda period_problem: self.cost_function(
                 period_problem, "what-if"
@@ -459,10 +444,7 @@ class Advisor:
         self,
         problem: VirtualizationDesignProblem,
         allocations: Tuple[ResourceAllocation, ...],
-        actual_costs: Optional[CostFunctionSpec] = None,
     ) -> float:
         """Actual relative improvement of an allocation over the default."""
-        actuals = self.cost_function(
-            problem, actual_costs if actual_costs is not None else "actual"
-        )
+        actuals = self.cost_function(problem, "actual")
         return improvement_over_default(problem, allocations, actuals)

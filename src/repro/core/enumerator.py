@@ -197,13 +197,9 @@ def _bounds_from_full_costs(
 
 
 def _degradation_bounds(
-    problem: VirtualizationDesignProblem,
-    cost_function,
-    enforce: bool,
+    problem: VirtualizationDesignProblem, cost_function
 ) -> Dict[int, float]:
     """Max admissible raw cost per degradation-limited tenant."""
-    if not enforce:
-        return {}
     full = problem.full_allocation()
     full_costs = {
         index: cost_function.cost(index, full)
@@ -218,7 +214,6 @@ def _build_cost_tables(
     cost_function,
     delta: float,
     min_share: float,
-    enforce_degradation_limits: bool,
 ) -> _GridCostTables:
     """Build the dense per-tenant cost tables for a grid search.
 
@@ -238,7 +233,7 @@ def _build_cost_tables(
         mem_shares = [problem.fixed_memory_fraction]
         mem_units_total = 0
 
-    bounds = _degradation_bounds(problem, cost_function, enforce_degradation_limits)
+    bounds = _degradation_bounds(problem, cost_function)
 
     raw: List[List[List[float]]] = []
     weighted: List[np.ndarray] = []
@@ -518,14 +513,12 @@ class ExhaustiveSearch:
         delta: float = 0.05,
         min_share: float = 0.05,
         max_combinations: int = 2_000_000,
-        enforce_degradation_limits: bool = True,
     ) -> None:
         if not 0.0 < delta < 1.0:
             raise OptimizationError(f"delta must be in (0, 1), got {delta}")
         self.delta = delta
         self.min_share = min_share
         self.max_combinations = max_combinations
-        self.enforce_degradation_limits = enforce_degradation_limits
 
     @property
     def effective_min_share(self) -> float:
@@ -572,10 +565,7 @@ class ExhaustiveSearch:
                 f"raise max_combinations or coarsen delta"
             )
 
-        tables = _build_cost_tables(
-            problem, cost_function, self.delta, self.min_share,
-            self.enforce_degradation_limits,
-        )
+        tables = _build_cost_tables(problem, cost_function, self.delta, self.min_share)
         # Infeasible level pairs are +inf in the weighted tables, so a combo
         # violating any tenant's degradation limit can never become the best.
         weighted_tables = [table.tolist() for table in tables.weighted]
@@ -653,7 +643,6 @@ class DynamicProgrammingSearch:
         self,
         delta: float = 0.05,
         min_share: float = 0.05,
-        enforce_degradation_limits: bool = True,
     ) -> None:
         if not 0.0 < delta < 1.0:
             raise OptimizationError(f"delta must be in (0, 1), got {delta}")
@@ -661,7 +650,6 @@ class DynamicProgrammingSearch:
             raise OptimizationError(f"min_share must be in [0, 1), got {min_share}")
         self.delta = delta
         self.min_share = min_share
-        self.enforce_degradation_limits = enforce_degradation_limits
 
     @property
     def effective_min_share(self) -> float:
@@ -676,10 +664,7 @@ class DynamicProgrammingSearch:
         """Compute the optimal grid allocation by dynamic programming."""
         n = problem.n_workloads
         calls_before = cost_function.call_count
-        tables = _build_cost_tables(
-            problem, cost_function, self.delta, self.min_share,
-            self.enforce_degradation_limits,
-        )
+        tables = _build_cost_tables(problem, cost_function, self.delta, self.min_share)
         units = tables.units
         mem_total = tables.mem_units_total
         cpu_consumption = tables.cpu_level_units

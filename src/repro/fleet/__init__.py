@@ -11,7 +11,9 @@ package adds the layer above it for a machine *fleet*:
   paper-sized fleets, :mod:`repro.fleet.bnb`), ``"exhaustive-fleet"``
   (the exact small-fleet baseline), ``"round-robin"``, ``"first-fit"`` —
   behind the same open registry pattern as the per-machine strategies
-  (:mod:`repro.fleet.strategies`).
+  (:mod:`repro.fleet.strategies`); :func:`resolve_placement` turns a
+  request's strategy name and search budgets into a strategy, for both
+  the CLI and ``POST /fleet``.
 * :class:`FleetAdvisor` — places tenants, then delegates every machine's
   internal split to the existing :class:`repro.api.Advisor` over a shared
   cost cache (:mod:`repro.fleet.advisor`).
@@ -56,6 +58,7 @@ from .strategies import (
     PlacementStrategy,
     RoundRobinPlacement,
     improve_assignment,
+    resolve_placement,
 )
 
 __all__ = [
@@ -77,6 +80,7 @@ __all__ = [
     "PLACEMENTS",
     "PlacementSolver",
     "PlacementStrategy",
+    "resolve_placement",
     "RoundRobinPlacement",
     "SolveMemo",
 ]

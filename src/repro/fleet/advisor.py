@@ -43,13 +43,7 @@ from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
 from ..core.problem import VirtualizationDesignProblem
 from ..exceptions import ConfigurationError, OptimizationError, PlacementError
-from ..parallel.backends import (
-    BACKENDS,
-    BackendSpec,
-    SolveTask,
-    SolverBackend,
-    resolve_backend,
-)
+from ..parallel.backends import BackendSpec, SolveTask, SolverBackend, resolve_backend
 from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
 from ..telemetry.trace import get_tracer
 from .problem import FleetProblem, Machine, Placement
@@ -116,11 +110,11 @@ class _FleetSolver:
         self,
         fleet_advisor: "FleetAdvisor",
         problem: FleetProblem,
-        backend: Optional[SolverBackend] = None,
+        backend: SolverBackend,
     ) -> None:
         self.fleet_advisor = fleet_advisor
         self.problem = problem
-        self.backend = backend if backend is not None else resolve_backend(None)
+        self.backend = backend
         self.stats = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
         self._stats_lock = threading.Lock()
         self._hardware_keys = [machine.hardware_key for machine in problem.machines]
@@ -456,105 +450,64 @@ class FleetAdvisor:
         self.advisor.clear_caches()
 
     # ------------------------------------------------------------------
-    # Backend resolution
-    # ------------------------------------------------------------------
-    def _resolve_run_backend(
-        self, backend: Optional[BackendSpec], jobs: Optional[int]
-    ) -> Tuple[SolverBackend, bool]:
-        """The backend one call runs on, and whether this call owns it.
-
-        A per-call override (name or instance) is resolved fresh; a backend
-        this advisor created from a *name* for one call is closed when the
-        call finishes (it may hold pool threads), which the ``owned``
-        flag signals to the caller.
-        """
-        if backend is None and jobs is None:
-            return self.backend, False
-        if backend is None:
-            # A jobs-only override re-creates the advisor's backend at the
-            # requested width, which is only possible when that backend
-            # came from the registry; a custom instance must be re-supplied
-            # (its constructor, not its name, knows how to size it).
-            name = getattr(self.backend, "name", None)
-            if not isinstance(name, str) or name not in BACKENDS:
-                raise ConfigurationError(
-                    f"jobs={jobs} alone cannot resize this advisor's custom "
-                    f"backend ({type(self.backend).__name__}); pass a backend "
-                    f"instance configured with the desired worker count"
-                )
-            backend = name
-        resolved = resolve_backend(backend, jobs)
-        return resolved, isinstance(backend, str)
-
-    # ------------------------------------------------------------------
     # Fleet recommendation
     # ------------------------------------------------------------------
     def recommend(
         self,
         problem: FleetProblem,
         placement: Optional[PlacementSpec] = None,
-        backend: Optional[BackendSpec] = None,
-        jobs: Optional[int] = None,
     ) -> FleetReport:
         """Place every tenant and configure every machine of the fleet.
 
         ``placement`` overrides the advisor-level strategy for this call
         only (e.g. ``recommend(problem, placement="round-robin")`` for a
-        baseline comparison over the same calibrations and caches);
-        ``backend`` / ``jobs`` likewise override the solver-execution
-        backend for this call (``recommend(problem, backend="thread",
-        jobs=4)``).  Whatever the backend, the report's *answer* is
-        bit-identical to the serial one (``canonical_dict()``); only
-        wall-clock time and cache-traffic accounting may differ.
+        baseline comparison over the same calibrations and caches).  The
+        solves fan out on the advisor's backend; whatever the backend, the
+        report's *answer* is bit-identical to the serial one
+        (``canonical_dict()``); only wall-clock time and cache-traffic
+        accounting may differ.
         """
         started = time.perf_counter()
-        run_backend, owned = self._resolve_run_backend(backend, jobs)
-        solver = _FleetSolver(self, problem, run_backend)
-        try:
-            if placement is None:
-                strategy, strategy_name = self._placement, self._placement_name
-            else:
-                strategy = self._resolve_placement(placement)
-                strategy_name = _placement_name(placement)
-            memo_hits_before = self.solve_memo.hits
-            with get_tracer().span(
-                "fleet.recommend",
-                fleet=problem.name,
-                tenants=problem.n_tenants,
-                machines=problem.n_machines,
-                strategy=strategy_name,
-                backend=getattr(run_backend, "name", type(run_backend).__name__),
-                jobs=run_backend.jobs,
-            ) as root:
-                with get_tracer().span("placement.place", strategy=strategy_name):
-                    assignment = strategy.place(problem, solver)
-                placed = Placement(problem, assignment, strategy=strategy_name)
-                report = self._finalize(
-                    problem,
-                    solver,
-                    placed,
-                    strategy_name,
-                    started,
-                    provenance=_placement_provenance(strategy),
-                )
-                root.set_attributes(
-                    evaluations=solver.stats.evaluations,
-                    cache_hits_delta=solver.stats.cache_hits,
-                    memo_hits_delta=self.solve_memo.hits - memo_hits_before,
-                    total_weighted_cost=report.total_weighted_cost,
-                )
-            return report
-        finally:
-            if owned:
-                run_backend.close()
+        solver = _FleetSolver(self, problem, self.backend)
+        if placement is None:
+            strategy, strategy_name = self._placement, self._placement_name
+        else:
+            strategy = self._resolve_placement(placement)
+            strategy_name = _placement_name(placement)
+        memo_hits_before = self.solve_memo.hits
+        with get_tracer().span(
+            "fleet.recommend",
+            fleet=problem.name,
+            tenants=problem.n_tenants,
+            machines=problem.n_machines,
+            strategy=strategy_name,
+            backend=getattr(self.backend, "name", type(self.backend).__name__),
+            jobs=self.backend.jobs,
+        ) as root:
+            with get_tracer().span("placement.place", strategy=strategy_name):
+                assignment = strategy.place(problem, solver)
+            placed = Placement(problem, assignment, strategy=strategy_name)
+            report = self._finalize(
+                problem,
+                solver,
+                placed,
+                strategy_name,
+                started,
+                provenance=_placement_provenance(strategy),
+            )
+            root.set_attributes(
+                evaluations=solver.stats.evaluations,
+                cache_hits_delta=solver.stats.cache_hits,
+                memo_hits_delta=self.solve_memo.hits - memo_hits_before,
+                total_weighted_cost=report.total_weighted_cost,
+            )
+        return report
 
     def recommend_incremental(
         self,
         problem: FleetProblem,
         previous: Union[FleetReport, Placement, Mapping[str, str]],
         moved: Optional[Iterable[str]] = None,
-        backend: Optional[BackendSpec] = None,
-        jobs: Optional[int] = None,
     ) -> FleetReport:
         """Re-place only the changed tenants of an already-placed fleet.
 
@@ -570,30 +523,24 @@ class FleetAdvisor:
         workloads did not change are re-priced entirely from the caches:
         only the moved tenants (and the machines they leave or join) cost
         new evaluations, which is what makes trace-driven re-placement
-        cheap to run every monitoring period.  ``backend`` / ``jobs``
-        override the solver-execution backend for this call, as in
-        :meth:`recommend`.
+        cheap to run every monitoring period.  The solves fan out on the
+        advisor's backend, as in :meth:`recommend`.
         """
         started = time.perf_counter()
         moved = tuple(moved) if moved is not None else None
-        run_backend, owned = self._resolve_run_backend(backend, jobs)
-        solver = _FleetSolver(self, problem, run_backend)
-        try:
-            with get_tracer().span(
-                "fleet.recommend_incremental",
-                fleet=problem.name,
-                tenants=problem.n_tenants,
-                machines=problem.n_machines,
-                backend=getattr(run_backend, "name", type(run_backend).__name__),
-                jobs=run_backend.jobs,
-                moved=len(moved) if moved is not None else 0,
-            ):
-                return self._recommend_incremental(
-                    problem, previous, moved, solver, started
-                )
-        finally:
-            if owned:
-                run_backend.close()
+        solver = _FleetSolver(self, problem, self.backend)
+        with get_tracer().span(
+            "fleet.recommend_incremental",
+            fleet=problem.name,
+            tenants=problem.n_tenants,
+            machines=problem.n_machines,
+            backend=getattr(self.backend, "name", type(self.backend).__name__),
+            jobs=self.backend.jobs,
+            moved=len(moved) if moved is not None else 0,
+        ):
+            return self._recommend_incremental(
+                problem, previous, moved, solver, started
+            )
 
     def _recommend_incremental(
         self,

@@ -177,9 +177,9 @@ class FleetReport:
         """The fleet answer, stripped of run artifacts and provenance.
 
         The determinism contract of the parallel solver-execution
-        subsystem: for any backend,
-        ``recommend(problem, backend=b).canonical_dict()`` equals the
-        serial backend's, bit for bit.  Wall-clock time, cache-traffic
+        subsystem: for any backend ``b``,
+        ``FleetAdvisor(backend=b).recommend(problem).canonical_dict()``
+        equals the serial backend's, bit for bit.  Wall-clock time, cache-traffic
         statistics, and the backend/jobs provenance are dropped; the
         placement, every machine's division, and every cost are kept.
         """

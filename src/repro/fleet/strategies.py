@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 from ..api.strategies import StrategyRegistry
 from ..exceptions import ConfigurationError, PlacementError
@@ -629,3 +629,79 @@ PLACEMENTS.register(
         max_assignments=max_assignments
     ),
 )
+
+
+def resolve_placement(
+    placement: Optional[str] = None,
+    local_search: Optional[int] = None,
+    max_nodes: Optional[int] = None,
+    max_seconds: Optional[float] = None,
+) -> Union[None, str, PlacementStrategy]:
+    """Resolve a placement request — a strategy name plus optional budgets.
+
+    The one rule set behind ``python -m repro fleet`` and ``POST /fleet``:
+    ``local_search`` is an improvement-round budget that implies
+    ``"greedy-cost+ls"``; ``max_nodes`` / ``max_seconds`` budget the exact
+    search and imply ``"bnb-fleet"``; a request may not use both families,
+    and every name and budget is validated here, so a bad request is
+    rejected before any solve starts.  Returns ``None`` when nothing was
+    asked for (the fleet advisor's own strategy applies), the name when no
+    budget was given, and a configured strategy otherwise.
+    """
+    if placement is not None and placement not in PLACEMENTS:
+        raise ConfigurationError(
+            f"unknown placement strategy {placement!r}; registered: "
+            f"{', '.join(PLACEMENTS.names())}"
+        )
+    if max_nodes is not None or max_seconds is not None:
+        if local_search is not None:
+            raise ConfigurationError(
+                "local_search selects greedy-cost+ls but "
+                "max_nodes/max_seconds select bnb-fleet; "
+                "pass only one family"
+            )
+        name = placement if placement is not None else "bnb-fleet"
+        if name != "bnb-fleet":
+            raise ConfigurationError(
+                f"max_nodes/max_seconds only apply to the bnb-fleet "
+                f"placement, not {name!r}"
+            )
+        options: Dict[str, Any] = {}
+        if max_nodes is not None:
+            if isinstance(max_nodes, bool) or not isinstance(max_nodes, int):
+                raise ConfigurationError(
+                    f"max_nodes must be an integer node budget; "
+                    f"got {max_nodes!r}"
+                )
+            if max_nodes < 1:
+                raise ConfigurationError(
+                    f"max_nodes must be >= 1, got {max_nodes}"
+                )
+            options["max_nodes"] = max_nodes
+        if max_seconds is not None:
+            if isinstance(max_seconds, bool) or not isinstance(
+                max_seconds, (int, float)
+            ):
+                raise ConfigurationError(
+                    f"max_seconds must be a wall-clock budget in "
+                    f"seconds; got {max_seconds!r}"
+                )
+            if max_seconds <= 0:
+                raise ConfigurationError(
+                    f"max_seconds must be positive, got {max_seconds}"
+                )
+            options["max_seconds"] = float(max_seconds)
+        return PLACEMENTS.create(name, **options)
+    if local_search is None:
+        return placement
+    if isinstance(local_search, bool) or not isinstance(local_search, int):
+        raise ConfigurationError(
+            f"local_search must be an integer improvement-round budget; "
+            f"got {local_search!r}"
+        )
+    if local_search < 0:
+        raise ConfigurationError(
+            f"local_search must be >= 0, got {local_search}"
+        )
+    name = placement if placement is not None else "greedy-cost+ls"
+    return PLACEMENTS.create(name, max_rounds=local_search)

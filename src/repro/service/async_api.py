@@ -1,40 +1,25 @@
-"""Awaitable faces of the advisors: ``await advisor.recommend(problem)``.
+"""An awaitable face of the serving engine: ``await service.recommend(doc)``.
 
-These wrappers make the synchronous library advisors first-class citizens
-of an event loop.  Each call dispatches the underlying solve to a worker
+:class:`AsyncAdvisorService` dispatches each request document to a worker
 thread (:func:`asyncio.to_thread`) behind an :class:`asyncio.Semaphore`,
-so ``N`` concurrent awaits overlap their RPC-shaped what-if latency — the
-same property the solver backends exploit — while at most
-``max_concurrency`` solves hold worker threads at once.
-
-Ownership follows the factory-per-worker pattern throughout: the wrapped
-advisor is thread-safe and *shared*, but every replay builds its own
-replayer (replayers are stateful across periods) and the HTTP tier builds
-one advisor per request over the service's shared cache pool.
-
-The wrappers are re-exported from :mod:`repro.api` (lazily, to keep the
-library importable without the service tier), so
-``from repro.api import AsyncAdvisor`` is the portable entry point.
+so at most ``max_concurrency`` solves hold worker threads at once.  The
+HTTP tier does not use it, and nothing in the library calls it: it stays
+because the repository benchmark (``perfbench/``) wraps its methods by
+name.  A caller inside an event loop needs no wrapper to await a library
+advisor — ``await asyncio.to_thread(advisor.recommend, problem)`` is the
+whole pattern.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, Mapping, Optional, Union
+from typing import Any, Optional
 
-from ..api import Advisor
 from ..api.report import RecommendationReport
-from ..core.problem import VirtualizationDesignProblem
 from ..exceptions import ConfigurationError
-from ..fleet import FleetAdvisor, FleetProblem
-from ..fleet.problem import Placement
 from ..fleet.report import FleetReport
-from ..traces import FleetTraceReplayer, TraceReplayer, WorkloadTrace
-from ..traces.replay import ReplayReport
 from .engine import AdvisorService
-
-#: Default bound on concurrently executing solves per async wrapper.
-DEFAULT_MAX_CONCURRENCY = 8
+from .http import DEFAULT_MAX_CONCURRENCY
 
 
 class _Throttle:
@@ -64,124 +49,11 @@ class _Throttle:
         return self._semaphore
 
 
-class AsyncAdvisor:
-    """Awaitable face of :class:`~repro.api.Advisor`.
-
-    Args:
-        advisor: the advisor to wrap, or ``None`` to build one from
-            ``advisor_options`` (mutually exclusive).
-        max_concurrency: bound on concurrently executing solves.
-    """
-
-    def __init__(
-        self,
-        advisor: Optional[Advisor] = None,
-        max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-        **advisor_options: Any,
-    ) -> None:
-        if advisor is not None and advisor_options:
-            raise ConfigurationError(
-                "pass either an Advisor instance or advisor keyword "
-                "arguments, not both"
-            )
-        self.advisor = advisor if advisor is not None else Advisor(**advisor_options)
-        self._throttle = _Throttle(max_concurrency)
-
-    async def recommend(
-        self, problem: VirtualizationDesignProblem, **options: Any
-    ) -> RecommendationReport:
-        """Awaitable :meth:`~repro.api.Advisor.recommend`."""
-        async with self._throttle.slot():
-            return await asyncio.to_thread(
-                self.advisor.recommend, problem, **options
-            )
-
-    async def recommend_exhaustive(
-        self, problem: VirtualizationDesignProblem, **options: Any
-    ) -> RecommendationReport:
-        """Awaitable :meth:`~repro.api.Advisor.recommend_exhaustive`."""
-        async with self._throttle.slot():
-            return await asyncio.to_thread(
-                self.advisor.recommend_exhaustive, problem, **options
-            )
-
-    async def replay(
-        self, trace: WorkloadTrace, **replayer_options: Any
-    ) -> ReplayReport:
-        """Replay a single-machine trace without blocking the loop.
-
-        ``replayer_options`` are forwarded to
-        :class:`~repro.traces.TraceReplayer` (``builder``, ``policy``,
-        ``backend``, ...); the replayer itself is built fresh per call —
-        replayers carry per-run period state and are not shared.
-        """
-        replayer = TraceReplayer(trace, advisor=self.advisor, **replayer_options)
-        async with self._throttle.slot():
-            return await asyncio.to_thread(replayer.replay)
-
-
-class AsyncFleetAdvisor:
-    """Awaitable face of :class:`~repro.fleet.FleetAdvisor`."""
-
-    def __init__(
-        self,
-        fleet_advisor: Optional[FleetAdvisor] = None,
-        max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-        **fleet_options: Any,
-    ) -> None:
-        if fleet_advisor is not None and fleet_options:
-            raise ConfigurationError(
-                "pass either a FleetAdvisor instance or fleet advisor "
-                "keyword arguments, not both"
-            )
-        self.fleet_advisor = (
-            fleet_advisor if fleet_advisor is not None else FleetAdvisor(**fleet_options)
-        )
-        self._throttle = _Throttle(max_concurrency)
-
-    async def recommend(self, problem: FleetProblem, **options: Any) -> FleetReport:
-        """Awaitable :meth:`~repro.fleet.FleetAdvisor.recommend`."""
-        async with self._throttle.slot():
-            return await asyncio.to_thread(
-                self.fleet_advisor.recommend, problem, **options
-            )
-
-    async def recommend_incremental(
-        self,
-        problem: FleetProblem,
-        previous: Union[FleetReport, Placement, Mapping[str, str]],
-        moved: Optional[Iterable[str]] = None,
-        **options: Any,
-    ) -> FleetReport:
-        """Awaitable :meth:`~repro.fleet.FleetAdvisor.recommend_incremental`."""
-        async with self._throttle.slot():
-            return await asyncio.to_thread(
-                self.fleet_advisor.recommend_incremental,
-                problem,
-                previous,
-                moved,
-                **options,
-            )
-
-    async def replay(
-        self, trace: WorkloadTrace, fleet: FleetProblem, **replayer_options: Any
-    ) -> ReplayReport:
-        """Replay a fleet trace through the wrapped advisor's caches."""
-        replayer = FleetTraceReplayer(
-            trace, fleet, advisor=self.fleet_advisor, **replayer_options
-        )
-        async with self._throttle.slot():
-            return await asyncio.to_thread(replayer.replay)
-
-
 class AsyncAdvisorService:
     """Awaitable face of :class:`~repro.service.engine.AdvisorService`.
 
-    For callers inside an event loop: request documents go in, reports
-    come out, and the semaphore keeps a burst of awaits from
-    oversubscribing the worker threads (the service's own solver backend
-    bounds per-solve parallelism below that).  The HTTP tier does not use
-    it; it calls the service directly on each connection's thread.
+    Request documents go in, reports come out, and the semaphore keeps a
+    burst of awaits from oversubscribing the worker threads.
     """
 
     def __init__(
@@ -218,11 +90,3 @@ class AsyncAdvisorService:
                     self.service.fleet, document, placement
                 )
             return await asyncio.to_thread(self.service.fleet_document, document)
-
-    async def replay(self, document: Any) -> ReplayReport:
-        async with self._throttle.slot():
-            return await asyncio.to_thread(self.service.replay_document, document)
-
-    def stats(self) -> Dict[str, Any]:
-        """Pass-through request/cache statistics (non-blocking)."""
-        return self.service.stats()

@@ -23,8 +23,9 @@ everything that is safe and *profitable* to share lives on the service:
 
 The service itself is synchronous and thread-safe.  The HTTP tier
 (:mod:`repro.service.http`) calls it directly, on each request's
-connection thread; :class:`~repro.service.async_api.AsyncAdvisorService`
-is its awaitable face for callers inside an event loop.
+connection thread.  Fleet requests use the fleet advisor's
+``"greedy-cost"`` placement unless they name a strategy or a budget
+(:func:`~repro.fleet.resolve_placement`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
 from ..core.problem import VirtualizationDesignProblem
 from ..exceptions import ConfigurationError
-from ..fleet import FleetAdvisor, FleetProblem
+from ..fleet import FleetAdvisor, FleetProblem, resolve_placement
 from ..fleet.report import FleetReport
 from ..parallel import BackendSpec, resolve_backend
 from ..telemetry.instruments import IN_FLIGHT, REQUEST_LATENCY, REQUESTS_TOTAL
@@ -117,7 +118,6 @@ class AdvisorService:
             ``"serial"``; ``"thread"`` overlaps RPC-shaped what-if calls.
             Every backend returns the serial answer bit for bit.
         jobs: worker count for a backend given by name.
-        placement: default fleet placement strategy.
         advisor_options: defaults for every advisor the service builds
             (per-request and fleet); a scenario's embedded ``advisor``
             options override them per request.
@@ -127,7 +127,6 @@ class AdvisorService:
         self,
         backend: BackendSpec = "serial",
         jobs: Optional[int] = None,
-        placement: str = "greedy-cost",
         **advisor_options: Any,
     ) -> None:
         self.caches = _SharedCachePool()
@@ -137,7 +136,6 @@ class AdvisorService:
         #: builders are what let concurrent and repeated fleet requests
         #: share cache identity).
         self.fleet_advisor = FleetAdvisor(
-            placement=placement,
             advisor=Advisor(shared_caches=self.caches, **advisor_options),
             backend=self.backend,
         )
@@ -246,83 +244,11 @@ class AdvisorService:
         which budget tripped.
         """
         parsed = _coerce(problem, FleetProblem, "FleetProblem")
-        spec = self._placement_spec(
-            placement, local_search, max_nodes, max_seconds
-        )
+        # Resolved before request accounting, so a bad name or budget is a
+        # clean 400, never a half-served request.
+        spec = resolve_placement(placement, local_search, max_nodes, max_seconds)
         with self._serving("fleet"):
             return self.fleet_advisor.recommend(parsed, placement=spec)
-
-    def _placement_spec(
-        self,
-        placement: Optional[str],
-        local_search: Optional[int],
-        max_nodes: Optional[int] = None,
-        max_seconds: Optional[float] = None,
-    ) -> Any:
-        """Resolve a request's placement selection, validating early.
-
-        Validation happens before request accounting so a bad name or
-        budget is a clean 400 — never a half-served request.
-        """
-        from ..fleet import PLACEMENTS
-
-        if placement is not None and placement not in PLACEMENTS:
-            raise ConfigurationError(
-                f"unknown placement strategy {placement!r}; registered: "
-                f"{', '.join(PLACEMENTS.names())}"
-            )
-        if max_nodes is not None or max_seconds is not None:
-            if local_search is not None:
-                raise ConfigurationError(
-                    "local_search selects greedy-cost+ls but "
-                    "max_nodes/max_seconds select bnb-fleet; "
-                    "pass only one family"
-                )
-            name = placement if placement is not None else "bnb-fleet"
-            if name != "bnb-fleet":
-                raise ConfigurationError(
-                    f"max_nodes/max_seconds only apply to the bnb-fleet "
-                    f"placement, not {name!r}"
-                )
-            options: Dict[str, Any] = {}
-            if max_nodes is not None:
-                if isinstance(max_nodes, bool) or not isinstance(max_nodes, int):
-                    raise ConfigurationError(
-                        f"max_nodes must be an integer node budget; "
-                        f"got {max_nodes!r}"
-                    )
-                if max_nodes < 1:
-                    raise ConfigurationError(
-                        f"max_nodes must be >= 1, got {max_nodes}"
-                    )
-                options["max_nodes"] = max_nodes
-            if max_seconds is not None:
-                if isinstance(max_seconds, bool) or not isinstance(
-                    max_seconds, (int, float)
-                ):
-                    raise ConfigurationError(
-                        f"max_seconds must be a wall-clock budget in "
-                        f"seconds; got {max_seconds!r}"
-                    )
-                if max_seconds <= 0:
-                    raise ConfigurationError(
-                        f"max_seconds must be positive, got {max_seconds}"
-                    )
-                options["max_seconds"] = float(max_seconds)
-            return PLACEMENTS.create(name, **options)
-        if local_search is None:
-            return placement
-        if isinstance(local_search, bool) or not isinstance(local_search, int):
-            raise ConfigurationError(
-                f"local_search must be an integer improvement-round budget; "
-                f"got {local_search!r}"
-            )
-        if local_search < 0:
-            raise ConfigurationError(
-                f"local_search must be >= 0, got {local_search}"
-            )
-        name = placement if placement is not None else "greedy-cost+ls"
-        return PLACEMENTS.create(name, max_rounds=local_search)
 
     def fleet_document(self, document: Any) -> FleetReport:
         """Place one fleet from a request document.

@@ -53,11 +53,12 @@ from ..exceptions import ConfigurationError, ReproError
 from ..telemetry.instruments import HTTP_REQUESTS_TOTAL
 from ..telemetry.metrics import get_registry
 from ..telemetry.trace import get_tracer
-from .async_api import DEFAULT_MAX_CONCURRENCY
 from .engine import AdvisorService
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
+#: Default admission bound: how many solves the server runs at once.
+DEFAULT_MAX_CONCURRENCY = 8
 #: Largest request body the server reads; a larger declared
 #: ``Content-Length`` is refused with 413 before any of the body is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024

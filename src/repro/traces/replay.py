@@ -478,7 +478,6 @@ class FleetTraceReplayer:
         fleet: FleetProblem,
         advisor: Optional[FleetAdvisor] = None,
         policy: str = POLICY_DYNAMIC,
-        replace_on_major: bool = True,
         backend: Optional[BackendSpec] = None,
         jobs: Optional[int] = None,
     ) -> None:
@@ -514,7 +513,6 @@ class FleetTraceReplayer:
             # per-period manager steps.
             self.fleet_advisor = FleetAdvisor(backend=self.backend)
         self.policy = _check_policy(policy)
-        self.replace_on_major = replace_on_major
 
     # ------------------------------------------------------------------
     # Period materialization
@@ -675,12 +673,7 @@ class FleetTraceReplayer:
             in_force_cost = sum(actual_costs.values())
             placement_in_force = dict(placement)
             replaced = False
-            if (
-                self.policy == POLICY_DYNAMIC
-                and self.replace_on_major
-                and majors
-                and period < self.trace.n_periods
-            ):
+            if self.policy == POLICY_DYNAMIC and majors and period < self.trace.n_periods:
                 new_report = self.fleet_advisor.recommend_incremental(
                     problem, placement, moved=majors
                 )

@@ -219,22 +219,17 @@ class TestFleetDeterminism:
         assert report.jobs == 4
         assert report.canonical_dict() == serial_report.canonical_dict()
 
-    def test_per_call_backend_override(self, problem, serial_report):
-        advisor = FleetAdvisor(delta=0.25)
-        threaded = advisor.recommend(problem, backend="thread", jobs=2)
-        assert threaded.backend == "thread"
-        assert threaded.canonical_dict() == serial_report.canonical_dict()
-        # The advisor-level default is untouched by the per-call override.
-        assert advisor.recommend(problem).backend == "serial"
-
     def test_incremental_replacement_is_backend_invariant(self, problem):
         serial_advisor = FleetAdvisor(delta=0.25)
         base = serial_advisor.recommend(problem)
         moved = [problem.tenants[0].name, problem.tenants[5].name]
         serial = serial_advisor.recommend_incremental(problem, base, moved=moved)
-        threaded = serial_advisor.recommend_incremental(
-            problem, base, moved=moved, backend="thread", jobs=4
-        )
+        thread_advisor = FleetAdvisor(delta=0.25, backend="thread", jobs=4)
+        try:
+            threaded = thread_advisor.recommend_incremental(problem, base, moved=moved)
+        finally:
+            thread_advisor.backend.close()
+        assert threaded.backend == "thread"
         assert threaded.canonical_dict() == serial.canonical_dict()
 
     def test_canonical_dict_round_trips_through_json(self, serial_report):
@@ -242,13 +237,6 @@ class TestFleetDeterminism:
         assert rebuilt.canonical_dict() == serial_report.canonical_dict()
         assert rebuilt.backend == serial_report.backend
 
-    def test_jobs_only_override_requires_registry_backend(self, problem):
-        class CustomBackend(SerialBackend):
-            name = "custom-rpc"
-
-        advisor = FleetAdvisor(delta=0.25, backend=CustomBackend())
-        with pytest.raises(ConfigurationError, match="custom backend"):
-            advisor.recommend(problem, jobs=8)
 
 class TestReplayDeterminism:
     @pytest.fixture(scope="class")

@@ -1,10 +1,9 @@
 """Tests for the serving tier (:mod:`repro.service`).
 
-Covers the awaitable advisor faces (``await recommend(...)`` returning
-the synchronous answer bit for bit, bounded concurrency), the shared
-:class:`~repro.service.AdvisorService` engine (per-request advisors over
-one process-wide cache pool; repeats answered without new evaluations),
-and the stdlib HTTP server — including the concurrent mixed-endpoint
+Covers the shared :class:`~repro.service.AdvisorService` engine
+(per-request advisors over one process-wide cache pool; repeats answered
+without new evaluations), its awaitable face, and the stdlib HTTP
+server — including the concurrent mixed-endpoint
 property: N parallel clients hitting one served advisor receive responses
 byte-equal under ``canonical_dict()`` to direct library calls, and
 repeats drive the shared cost-cache hit rate above zero.  The server's
@@ -28,7 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import Advisor, AsyncAdvisor, AsyncFleetAdvisor, Scenario
+from repro.__main__ import main as cli_main
+from repro.api import Advisor, Scenario
 from repro.api.report import RecommendationReport
 from repro.core.problem import VirtualizationDesignProblem
 from repro.exceptions import ConfigurationError
@@ -124,85 +124,6 @@ def direct_fleet_replay():
         FleetProblem.from_dict(FLEET_FOR_TRACE),
         advisor=FleetAdvisor(**ADVISOR_OPTIONS),
     ).replay()
-
-
-# ----------------------------------------------------------------------
-# Awaitable advisor faces
-# ----------------------------------------------------------------------
-class TestAsyncAdvisor:
-    def test_awaited_recommend_is_the_sync_answer(
-        self, scenario_problem, direct_recommend
-    ):
-        async def drive():
-            advisor = AsyncAdvisor(**SCENARIO["advisor"])
-            return await advisor.recommend(scenario_problem)
-
-        report = asyncio.run(drive())
-        assert isinstance(report, RecommendationReport)
-        assert report.canonical_dict() == direct_recommend.canonical_dict()
-
-    def test_concurrent_awaits_are_bit_identical(
-        self, scenario_problem, direct_recommend
-    ):
-        async def drive():
-            advisor = AsyncAdvisor(max_concurrency=4, **SCENARIO["advisor"])
-            return await asyncio.gather(
-                *(advisor.recommend(scenario_problem) for _ in range(6))
-            )
-
-        reports = asyncio.run(drive())
-        assert len(reports) == 6
-        for report in reports:
-            assert report.canonical_dict() == direct_recommend.canonical_dict()
-
-    def test_replay_is_awaitable(self, direct_replay):
-        async def drive():
-            advisor = AsyncAdvisor(**ADVISOR_OPTIONS)
-            return await advisor.replay(
-                WorkloadTrace.from_dict(TRACE), policy="static"
-            )
-
-        report = asyncio.run(drive())
-        assert isinstance(report, ReplayReport)
-        assert report.canonical_dict() == direct_replay.canonical_dict()
-
-    def test_rejects_instance_plus_options(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            AsyncAdvisor(advisor=Advisor(), delta=0.25)
-
-    def test_rejects_nonpositive_concurrency(self):
-        with pytest.raises(ConfigurationError, match="max_concurrency"):
-            AsyncAdvisor(max_concurrency=0)
-
-
-class TestAsyncFleetAdvisor:
-    def test_awaited_recommend_and_incremental(self, direct_fleet):
-        problem = FleetProblem.from_dict(FLEET)
-
-        async def drive():
-            advisor = AsyncFleetAdvisor(**ADVISOR_OPTIONS)
-            base = await advisor.recommend(problem)
-            moved = [problem.tenants[0].name]
-            incremental = await advisor.recommend_incremental(
-                problem, base, moved=moved
-            )
-            return base, incremental
-
-        base, incremental = asyncio.run(drive())
-        assert base.canonical_dict() == direct_fleet.canonical_dict()
-        assert isinstance(incremental, FleetReport)
-        assert set(incremental.placement) == set(base.placement)
-
-    def test_awaited_fleet_replay(self, direct_fleet_replay):
-        async def drive():
-            advisor = AsyncFleetAdvisor(**ADVISOR_OPTIONS)
-            return await advisor.replay(
-                WorkloadTrace.from_dict(TRACE),
-                FleetProblem.from_dict(FLEET_FOR_TRACE),
-            )
-
-        report = asyncio.run(drive())
-        assert report.canonical_dict() == direct_fleet_replay.canonical_dict()
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +289,10 @@ class TestAdvisorService:
         report = asyncio.run(drive())
         assert report.canonical_dict() == direct_recommend.canonical_dict()
 
+    def test_rejects_nonpositive_concurrency(self):
+        with pytest.raises(ConfigurationError, match="max_concurrency"):
+            AsyncAdvisorService(max_concurrency=0)
+
 
 # ----------------------------------------------------------------------
 # The HTTP tier
@@ -473,6 +398,39 @@ class TestHTTPServer:
         )
         assert code == 400
         assert "unknown placement" in body["error"]
+
+    @pytest.mark.parametrize(
+        "flags, options",
+        [
+            (["--local-search", "-1"], {"local_search": -1}),
+            (
+                ["--local-search", "2", "--bnb-max-nodes", "10"],
+                {"local_search": 2, "max_nodes": 10},
+            ),
+            (
+                ["--local-search", "2", "--bnb-max-seconds", "1"],
+                {"local_search": 2, "max_seconds": 1.0},
+            ),
+            (
+                ["--placement", "greedy-cost", "--bnb-max-nodes", "5"],
+                {"placement": "greedy-cost", "max_nodes": 5},
+            ),
+            (["--bnb-max-nodes", "0"], {"max_nodes": 0}),
+            (["--bnb-max-seconds", "-1.5"], {"max_seconds": -1.5}),
+        ],
+    )
+    def test_fleet_rejects_bad_placement_requests_as_the_cli_does(
+        self, server, tmp_path, capsys, flags, options
+    ):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(FLEET), encoding="utf-8")
+        exit_code = cli_main(["fleet", str(path), *flags])
+        cli_error = capsys.readouterr().err.strip()
+        code, body = error_of(
+            lambda: post(server, "/fleet", {"fleet": FLEET, **options})
+        )
+        assert exit_code == 2 and code == 400
+        assert cli_error == f"error: {body['error']}"
 
     def test_replay_round_trip(self, server, direct_replay):
         status, body = post(
@@ -724,3 +682,4 @@ class TestServeSubprocess:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+            process.stderr.close()
