@@ -17,18 +17,21 @@ re-built problems) never pay for the same optimizer call twice.
     Advisor(cost_function="actual")          # ground-truth measurement
     Advisor(refinement="generalized")        # force a refinement procedure
 
-The service is also the per-machine engine of the fleet layer:
-:class:`repro.fleet.FleetAdvisor` prices candidate tenant placements and
-produces every machine's final split by calling :meth:`Advisor.recommend`
-on per-machine problems, so fleet probes ride the same shared cache (a
-repeated fleet recommendation evaluates nothing new).
+The service is also the per-machine engine of the fleet layer, which
+uses :meth:`Advisor.recommend`'s two halves apart:
+:class:`repro.fleet.FleetAdvisor` prices a candidate tenant placement
+with :meth:`Advisor.search` alone (its gain-weighted cost is all a probe
+reads) and assembles a report with :meth:`Advisor.report` only for the
+machines a placement commits to.  Both ride the same shared cache, so a
+repeated fleet recommendation evaluates nothing new.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.advisor import Recommendation
 from ..core.dynamic import DynamicConfigurationManager
@@ -67,6 +70,48 @@ def _strategy_name(spec: Any) -> str:
     if isinstance(spec, str):
         return spec
     return type(spec).__name__
+
+
+@dataclass(frozen=True)
+class Search:
+    """One enumerator search over a problem: the first half of a recommendation.
+
+    :meth:`Advisor.search` makes it and :meth:`Advisor.report` assembles
+    its report; :meth:`Advisor.recommend` is the two in a row.
+    ``cost_stats`` and ``wall_time_seconds`` cover the search alone.
+    """
+
+    problem: VirtualizationDesignProblem
+    result: EnumerationResult
+    provenance: StrategyProvenance
+    cost_stats: CostCallStats
+    wall_time_seconds: float
+
+
+def _engines(problem: VirtualizationDesignProblem) -> List[Any]:
+    """The distinct engines behind a problem's tenants."""
+    return list(
+        {id(t.calibration.engine): t.calibration.engine for t in problem.tenants}.values()
+    )
+
+
+def _counters(costs: CachedCostFunction, engines: List[Any]) -> Tuple[int, ...]:
+    """The counters a :class:`CostCallStats` is the difference of, in field order."""
+    return (
+        costs.evaluations,
+        costs.cache.hits,
+        costs.cache.misses,
+        sum(engine.optimizer_call_count() for engine in engines),
+        sum(engine.plan_cache_hit_count() for engine in engines),
+    )
+
+
+def _stats_since(
+    before: Tuple[int, ...], costs: CachedCostFunction, engines: List[Any]
+) -> CostCallStats:
+    """The cost-call traffic since ``before`` was taken with :func:`_counters`."""
+    after = _counters(costs, engines)
+    return CostCallStats(*(now - then for now, then in zip(after, before)))
 
 
 class Advisor:
@@ -240,46 +285,53 @@ class Advisor:
         """Produce a recommendation report for a problem.
 
         ``cost_function`` and ``enumerator`` override the advisor-level
-        strategies for this call only.
+        strategies for this call only.  The work is :meth:`search`
+        followed by :meth:`report`, over one cost function.
         """
         costs = self.cost_function(problem, cost_function)
-        search = self.enumerator if enumerator is None else self._resolve_enumerator(enumerator)
-        engines = list(
-            {
-                id(t.calibration.engine): t.calibration.engine
-                for t in problem.tenants
-            }.values()
-        )
-        started = time.perf_counter()
-        evaluations_before = costs.evaluations
-        hits_before = costs.cache.hits
-        misses_before = costs.cache.misses
-        optimizer_before = sum(e.optimizer_call_count() for e in engines)
-        plan_hits_before = sum(e.plan_cache_hit_count() for e in engines)
+        search = self._search(problem, costs, cost_function, enumerator)
+        return self._report(search, costs)
 
-        # The solve is one leaf span: the enumerator's inner loop is far
+    def search(self, problem: VirtualizationDesignProblem) -> Search:
+        """Run the enumerator's search over ``problem``, assembling no report.
+
+        The first half of :meth:`recommend`: the allocations, their costs
+        and the search's cost-call statistics, from which :meth:`report`
+        assembles the report the whole :meth:`recommend` would return.
+        """
+        return self._search(problem, self.cost_function(problem))
+
+    def report(self, search: Search) -> RecommendationReport:
+        """The report of a :meth:`search`: what :meth:`recommend` returns.
+
+        Its ``cost_stats`` add the traffic of assembling it (the default
+        allocation's cost and every tenant's degradation) to the search's.
+        """
+        return self._report(search, self.cost_function(search.problem))
+
+    def _search(
+        self,
+        problem: VirtualizationDesignProblem,
+        costs: CachedCostFunction,
+        cost_function: Optional[CostFunctionSpec] = None,
+        enumerator: Optional[EnumeratorSpec] = None,
+    ) -> Search:
+        strategy = self.enumerator if enumerator is None else self._resolve_enumerator(enumerator)
+        engines = _engines(problem)
+        started = time.perf_counter()
+        before = _counters(costs, engines)
+
+        # The search is one leaf span: the enumerator's inner loop is far
         # too hot for per-evaluation spans, so the cache-traffic delta is
         # recorded as attributes instead.
         with get_tracer().span(
-            "advisor.recommend",
+            "advisor.search",
             leaf=True,
             tenants=len(problem.tenants),
-            enumerator=type(search).__name__,
+            enumerator=type(strategy).__name__,
         ) as span:
-            result = search.enumerate(problem, costs)
-            recommendation = self._to_recommendation(problem, costs, result)
-            tenants = self._tenant_reports(problem, costs, recommendation)
-            stats = CostCallStats(
-                evaluations=costs.evaluations - evaluations_before,
-                cache_hits=costs.cache.hits - hits_before,
-                cache_misses=costs.cache.misses - misses_before,
-                optimizer_calls=(
-                    sum(e.optimizer_call_count() for e in engines) - optimizer_before
-                ),
-                plan_cache_hits=(
-                    sum(e.plan_cache_hit_count() for e in engines) - plan_hits_before
-                ),
-            )
+            result = strategy.enumerate(problem, costs)
+            stats = _stats_since(before, costs, engines)
             span.set_attributes(
                 evaluations=stats.evaluations,
                 cache_hits_delta=stats.cache_hits,
@@ -299,17 +351,34 @@ class Advisor:
             ),
             refinement=None,
             options={
-                "delta": getattr(search, "delta", self.delta),
-                "min_share": getattr(search, "min_share", self.min_share),
+                "delta": getattr(strategy, "delta", self.delta),
+                "min_share": getattr(strategy, "min_share", self.min_share),
                 "max_iterations": self.max_iterations,
             },
         )
-        return RecommendationReport(
-            recommendation=recommendation,
-            tenants=tenants,
+        return Search(
+            problem=problem,
+            result=result,
             provenance=provenance,
             cost_stats=stats,
             wall_time_seconds=elapsed,
+        )
+
+    def _report(self, search: Search, costs: CachedCostFunction) -> RecommendationReport:
+        problem = search.problem
+        engines = _engines(problem)
+        started = time.perf_counter()
+        before = _counters(costs, engines)
+        with get_tracer().span("advisor.report", leaf=True, tenants=len(problem.tenants)):
+            recommendation = self._to_recommendation(problem, costs, search.result)
+            tenants = self._tenant_reports(problem, costs, recommendation)
+            stats = search.cost_stats + _stats_since(before, costs, engines)
+        return RecommendationReport(
+            recommendation=recommendation,
+            tenants=tenants,
+            provenance=search.provenance,
+            cost_stats=stats,
+            wall_time_seconds=search.wall_time_seconds + time.perf_counter() - started,
         )
 
     def recommend_exhaustive(

@@ -9,8 +9,9 @@ calibrated query optimizer, which is the dominant cost of a recommendation
 where an answer is remembered.
 
 :class:`CostCache` is a cache that can be shared across cost-function
-instances, problems, and phases.  It is keyed on the *identity* of a
-tenant's ``(workload, calibration)`` pair plus the allocation vector,
+instances, problems, and phases.  It keeps one row of costs per
+tenant, keyed on the *identity* of the tenant's ``(workload,
+calibration)`` pair, and a row maps the allocation vector to its cost,
 because the cost of a tenant depends on nothing else: degradation limits
 and gain factors are applied outside the raw cost, and the physical
 machine is part of the calibration.  Experiment drivers re-wrap the same
@@ -38,43 +39,58 @@ from ..core.problem import (
 )
 from ..exceptions import EstimationError
 
-#: Cache keys: ((namespace, workload id, calibration id), (cpu, memory)).
-#: The namespace identifies the cost semantics (cost-function family and
-#: its parameters) so one cache shared across differently-configured cost
-#: functions cannot serve a value computed under other parameters.  Shares
-#: are rounded exactly as :func:`~repro.core.cost_estimator.quantize_allocation`
-#: rounds the allocation a cost function evaluates, so a cached value is
-#: always the cost of the quantized allocation its key names.  Stored keys
-#: share one interned prefix per tenant and one interned share pair per
-#: grid point, so each cached cost adds one small tuple and its value.
-_Key = Tuple[Tuple[str, int, int], Tuple[float, float]]
+#: A tenant's row key: (namespace, workload id, calibration id).  The
+#: namespace identifies the cost semantics (cost-function family and its
+#: parameters) so one cache shared across differently-configured cost
+#: functions cannot serve a value computed under other parameters.
+_RowKey = Tuple[str, int, int]
+
+#: A row maps (cpu, memory) share pairs to costs.  Shares are rounded
+#: exactly as :func:`~repro.core.cost_estimator.quantize_allocation` rounds
+#: the allocation a cost function evaluates, so a cached value is always
+#: the cost of the quantized allocation its key names.  Share pairs are
+#: interned across rows (every tenant walks the same grid), so each cached
+#: cost adds one row slot and its value.
+_Shares = Tuple[float, float]
+_Row = Dict[_Shares, float]
 
 
-#: Default bound on cached values (~tens of MB at worst); far above what a
-#: full benchmark session uses, but it keeps a long-lived advisor service
-#: from growing without limit.
+#: Default bound on cached values (~7 MB full when tenants walk a shared
+#: grid, ~25 MB if no share pair repeated); far above what a full benchmark
+#: run uses, but it keeps a long-lived advisor service from growing without
+#: limit.
 DEFAULT_MAX_ENTRIES = 100_000
 
 
 class CostCache:
     """A memoizing cost cache shareable across problems and phases.
 
+    Values live in one *row* per tenant, keyed by :data:`_RowKey` and
+    mapping rounded share pairs to costs.  A :class:`CachedCostFunction`
+    resolves each of its tenants' rows once (:meth:`row`) and answers a
+    hit with one dictionary lookup in the row.
+
     The cache keeps strong references to the workload and calibration
-    objects appearing in its keys so that Python cannot recycle their
+    objects appearing in its row keys so that Python cannot recycle their
     ``id()`` for a different object while the cache is alive.
 
     Memory is bounded by ``max_entries`` via a generational reset: when the
-    bound is reached the values *and* the pinned objects are dropped
-    wholesale (partial eviction would need per-object reference counts to
-    keep the pins sound).  The hit/miss counters survive the reset so
-    in-flight statistics deltas stay monotonic.
+    bound is reached the rows, the pinned objects *and* the interned share
+    pairs are dropped wholesale (partial eviction would need per-object
+    reference counts to keep the pins sound).  The hit/miss counters
+    survive the reset so in-flight statistics deltas stay monotonic.
 
-    The cache is thread-safe: lookups, stores, counter updates, and the
-    generational reset all happen under one internal lock, so concurrent
-    per-machine solves (the async-fleet direction) can share a cache
-    without torn counters or a reset racing a store.  The lock is never
-    held while a cost is being *evaluated* — only around the dictionary
-    operations — so contention stays negligible next to an optimizer call.
+    The cache is thread-safe.  Stores, counter updates, row creation and
+    the generational reset happen under one internal lock, which is never
+    held while a cost is being *evaluated*.  Reading a row takes no lock:
+    a row is a plain dict that only ever gains keys, each stored once with
+    the one cost its key names (costs are pure functions of the key), and
+    a reset drops rows from the cache instead of emptying them.  A
+    lock-free ``row.get`` therefore finds either the right cost or nothing.
+    A row dropped by a reset stays readable by whoever resolved it (their
+    problem keeps the tenant's objects, and so their ids, alive) but is
+    never grown again: :meth:`store` re-resolves it, so ``size`` counts
+    every value the cache holds and never exceeds ``max_entries``.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
@@ -82,98 +98,81 @@ class CostCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._values: Dict[_Key, float] = {}
+        self._rows: Dict[_RowKey, _Row] = {}
         self._pins: Dict[int, object] = {}
-        self._interned: Dict[tuple, tuple] = {}
+        self._interned: Dict[_Shares, _Shares] = {}
+        self._size = 0
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _keys(
-        namespace: str,
-        tenant: ConsolidatedWorkload,
-        allocations: Sequence[ResourceAllocation],
-    ) -> List[_Key]:
-        prefix = (namespace, id(tenant.workload), id(tenant.calibration))
-        return [
-            (
-                prefix,
-                (
-                    round(allocation.cpu_share, _CACHE_DECIMALS),
-                    round(allocation.memory_fraction, _CACHE_DECIMALS),
-                ),
-            )
-            for allocation in allocations
-        ]
+    def row(self, namespace: str, tenant: ConsolidatedWorkload) -> _Row:
+        """``tenant``'s current row of cached costs (created if missing).
 
-    def get(
-        self,
-        namespace: str,
-        tenant: ConsolidatedWorkload,
-        allocation: ResourceAllocation,
-    ) -> Optional[float]:
-        """Cached cost of ``tenant`` under ``allocation``, or ``None``."""
-        (key,) = self._keys(namespace, tenant, (allocation,))
-        with self._lock:
-            value = self._values.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return value
-
-    def get_many(
-        self,
-        namespace: str,
-        tenant: ConsolidatedWorkload,
-        allocations: Sequence[ResourceAllocation],
-    ) -> Tuple[List[_Key], List[Optional[float]]]:
-        """Keys and cached costs (``None`` if missing) of a batch, aligned.
-
-        Each key is built once and the lock is taken once.  The counters
-        move as a :meth:`get`/:meth:`put` loop over the batch would move
-        them: one miss per distinct missing key, a hit for everything else
-        (a repeat of a missing key finds the first occurrence's value).
+        Callers read the row without the lock (see the class docstring),
+        count their lookups with :meth:`count`, and grow it only through
+        :meth:`store`.
         """
-        keys = self._keys(namespace, tenant, allocations)
+        key = (namespace, id(tenant.workload), id(tenant.calibration))
         with self._lock:
-            lookup = self._values.get
-            values = [lookup(key) for key in keys]
-            misses = len({key for key, value in zip(keys, values) if value is None})
-            self.misses += misses
-            self.hits += len(keys) - misses
-        return keys, values
+            return self._current_row(key, tenant)
 
-    def put(
-        self,
-        namespace: str,
-        tenant: ConsolidatedWorkload,
-        allocation: ResourceAllocation,
-        value: float,
-    ) -> None:
-        """Store the cost of ``tenant`` under ``allocation``."""
-        (key,) = self._keys(namespace, tenant, (allocation,))
-        self.put_many(tenant, {key: value})
-
-    def put_many(self, tenant: ConsolidatedWorkload, values: Dict[_Key, float]) -> None:
-        """Store costs of ``tenant`` under keys :meth:`get_many` returned."""
-        with self._lock:
-            intern = self._interned.setdefault
-            for key, value in values.items():
-                if key not in self._values and len(self._values) >= self.max_entries:
-                    self._values.clear()
-                    self._pins.clear()
-                    self._interned.clear()
-                prefix, shares = key
-                self._values[(intern(prefix, prefix), intern(shares, shares))] = value
+    def _current_row(self, key: _RowKey, tenant: ConsolidatedWorkload) -> _Row:
+        """The row cached under ``key``, created and pinned if missing (lock held)."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = {}
             self._pins.setdefault(id(tenant.workload), tenant.workload)
             self._pins.setdefault(id(tenant.calibration), tenant.calibration)
+        return row
+
+    def count(self, hits: int, misses: int) -> None:
+        """Record ``hits`` lookups answered from a row and ``misses`` not."""
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+
+    def store(
+        self,
+        namespace: str,
+        tenant: ConsolidatedWorkload,
+        row: _Row,
+        values: Dict[_Shares, float],
+    ) -> _Row:
+        """Store costs of ``tenant`` by share pair; returns its current row.
+
+        ``row`` is the row the caller resolved with :meth:`row`.  If a
+        generational reset has dropped it since, or one happens while
+        storing, the values go to a freshly resolved row, which the caller
+        should read from then on.  A share pair another thread stored
+        first keeps its (identical) value.
+        """
+        key = (namespace, id(tenant.workload), id(tenant.calibration))
+        with self._lock:
+            if self._rows.get(key) is not row:
+                row = self._current_row(key, tenant)
+            intern = self._interned.setdefault
+            for shares, value in values.items():
+                if shares in row:
+                    continue
+                if self._size >= self.max_entries:
+                    self._reset()
+                    row = self._current_row(key, tenant)
+                row[intern(shares, shares)] = value
+                self._size += 1
+        return row
+
+    def _reset(self) -> None:
+        """Drop the rows, the pins and the interned share pairs (lock held)."""
+        self._rows.clear()
+        self._pins.clear()
+        self._interned.clear()
+        self._size = 0
 
     @property
     def size(self) -> int:
         """Number of cached cost values."""
         with self._lock:
-            return len(self._values)
+            return self._size
 
     @property
     def hit_rate(self) -> float:
@@ -185,9 +184,7 @@ class CostCache:
     def clear(self) -> None:
         """Drop all cached values and reset the counters."""
         with self._lock:
-            self._values.clear()
-            self._pins.clear()
-            self._interned.clear()
+            self._reset()
             self.hits = 0
             self.misses = 0
 
@@ -204,9 +201,11 @@ class CachedCostFunction(CostFunction):
     ``degradation``, ...) are inherited from the base class and route
     through the cached :meth:`cost`.
 
-    Cache entries are namespaced by the wrapped function's
-    ``cache_namespace`` (its family plus cost-relevant parameters), so one
-    cache shared across differently-configured cost functions stays sound.
+    Cache rows are namespaced by the wrapped function's ``cache_namespace``
+    (its family plus cost-relevant parameters), so one cache shared across
+    differently-configured cost functions stays sound.  Each tenant's row
+    is resolved on its first lookup and kept for the life of this view
+    (one view serves one problem), so a hit is one lookup in that row.
     """
 
     def __init__(
@@ -221,6 +220,8 @@ class CachedCostFunction(CostFunction):
         self.inner = inner
         self.cache = cache if cache is not None else CostCache()
         self._namespace = getattr(inner, "cache_namespace", type(inner).__name__)
+        #: Each tenant's cache row by tenant index, resolved on first use.
+        self._rows: Dict[int, _Row] = {}
         batch = getattr(inner, "cost_many", None)
         if callable(batch):
             self._evaluate_many = batch
@@ -242,6 +243,19 @@ class CachedCostFunction(CostFunction):
     def evaluations(self) -> int:
         return self.inner.call_count
 
+    def _resolve_row(self, tenant_index: int) -> _Row:
+        if not 0 <= tenant_index < self.problem.n_workloads:
+            raise EstimationError(f"tenant index {tenant_index} out of range")
+        row = self._rows[tenant_index] = self.cache.row(
+            self._namespace, self.problem.tenant(tenant_index)
+        )
+        return row
+
+    def _store(self, tenant_index: int, row: _Row, values: Dict[_Shares, float]) -> None:
+        self._rows[tenant_index] = self.cache.store(
+            self._namespace, self.problem.tenant(tenant_index), row, values
+        )
+
     # ------------------------------------------------------------------
     # CostFunction surface
     # ------------------------------------------------------------------
@@ -252,14 +266,20 @@ class CachedCostFunction(CostFunction):
 
     def cost(self, tenant_index: int, allocation: ResourceAllocation) -> float:
         """Cost (seconds) of tenant ``tenant_index`` under ``allocation``."""
-        if not 0 <= tenant_index < self.problem.n_workloads:
-            raise EstimationError(f"tenant index {tenant_index} out of range")
-        tenant = self.problem.tenant(tenant_index)
-        cached = self.cache.get(self._namespace, tenant, allocation)
-        if cached is not None:
-            return cached
+        row = self._rows.get(tenant_index)
+        if row is None:
+            row = self._resolve_row(tenant_index)
+        shares = (
+            round(allocation.cpu_share, _CACHE_DECIMALS),
+            round(allocation.memory_fraction, _CACHE_DECIMALS),
+        )
+        value = row.get(shares)
+        if value is not None:
+            self.cache.count(1, 0)
+            return value
+        self.cache.count(0, 1)
         value = self.inner.cost(tenant_index, allocation)
-        self.cache.put(self._namespace, tenant, allocation, value)
+        self._store(tenant_index, row, {shares: value})
         return value
 
     def cost_many(
@@ -272,18 +292,27 @@ class CachedCostFunction(CostFunction):
         matches what the equivalent sequence of :meth:`cost` calls would
         record (a repeated allocation counts as a hit).
         """
-        if not 0 <= tenant_index < self.problem.n_workloads:
-            raise EstimationError(f"tenant index {tenant_index} out of range")
-        tenant = self.problem.tenant(tenant_index)
-        keys, values = self.cache.get_many(self._namespace, tenant, allocations)
-        missing: Dict[_Key, ResourceAllocation] = {}
+        row = self._rows.get(tenant_index)
+        if row is None:
+            row = self._resolve_row(tenant_index)
+        keys = [
+            (
+                round(allocation.cpu_share, _CACHE_DECIMALS),
+                round(allocation.memory_fraction, _CACHE_DECIMALS),
+            )
+            for allocation in allocations
+        ]
+        values = list(map(row.get, keys))
+        if None not in values:
+            self.cache.count(len(values), 0)
+            return values
+        missing: Dict[_Shares, ResourceAllocation] = {}
         for key, allocation, value in zip(keys, allocations, values):
             if value is None:
                 missing.setdefault(key, allocation)
-        if not missing:
-            return values
+        self.cache.count(len(keys) - len(missing), len(missing))
         fresh = dict(
             zip(missing, self._evaluate_many(tenant_index, list(missing.values())))
         )
-        self.cache.put_many(tenant, fresh)
+        self._store(tenant_index, row, fresh)
         return [fresh[key] if value is None else value for key, value in zip(keys, values)]

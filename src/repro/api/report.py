@@ -190,6 +190,20 @@ class CostCallStats:
             + other.placement_solve_hits,
         )
 
+    def __sub__(self, other: "CostCallStats") -> "CostCallStats":
+        """The statistics of a run less those of a part of it."""
+        if not isinstance(other, CostCallStats):
+            return NotImplemented
+        return CostCallStats(
+            evaluations=self.evaluations - other.evaluations,
+            cache_hits=self.cache_hits - other.cache_hits,
+            cache_misses=self.cache_misses - other.cache_misses,
+            optimizer_calls=self.optimizer_calls - other.optimizer_calls,
+            plan_cache_hits=self.plan_cache_hits - other.plan_cache_hits,
+            placement_solve_hits=self.placement_solve_hits
+            - other.placement_solve_hits,
+        )
+
     def __radd__(self, other: Any) -> "CostCallStats":
         """Support ``sum(stats_list)``, whose implicit start value is ``0``.
 

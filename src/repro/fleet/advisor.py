@@ -32,6 +32,7 @@ solve through the inner advisor's shared
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -48,7 +49,7 @@ from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
 from ..telemetry.trace import get_tracer
 from .problem import FleetProblem, Machine, Placement
 from .report import FleetReport, MachineReport
-from .solve_memo import DEFAULT_SOLVE_MEMO_SIZE, Infeasible, SolveMemo
+from .solve_memo import DEFAULT_SOLVE_MEMO_SIZE, Infeasible, Solved, SolveMemo
 from .strategies import PLACEMENTS, PlacementStrategy, greedy_assign
 
 #: Hardware shape plus calibration overrides: the unit of calibration reuse.
@@ -61,6 +62,9 @@ PlacementSpec = Union[str, PlacementStrategy]
 _MEMO_HIT_STATS = CostCallStats(
     evaluations=0, cache_hits=0, cache_misses=0, placement_solve_hits=1
 )
+
+#: The accounting of a report the memo already holds: nothing at all.
+_NO_STATS = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
 
 
 def _placement_name(spec: PlacementSpec) -> str:
@@ -89,10 +93,13 @@ class _FleetSolver:
     """Prices candidate co-locations for one fleet problem.
 
     This is the :class:`~repro.fleet.strategies.PlacementSolver` handed to
-    placement strategies.  It solves per-machine design problems through
+    placement strategies.  It searches per-machine design problems through
     :meth:`FleetAdvisor.solve_machine` (the shared
     :class:`~repro.api.Advisor` behind the solve-memo) and keeps the
-    aggregated cost-call statistics of everything the run asked for.
+    aggregated cost-call statistics of everything the run asked for.  A
+    probe reads only the search's gain-weighted cost; a machine the
+    placement commits to also gets its report
+    (:meth:`FleetAdvisor.machine_report`).
 
     Independent solves fan out through the run's
     :class:`~repro.parallel.backends.SolverBackend` (:meth:`machine_costs`
@@ -172,7 +179,7 @@ class _FleetSolver:
         }
         if fresh:
             tasks = [
-                self._task(machine_index, tenants, probe=True)
+                SolveTask(call=functools.partial(self._machine_cost, machine_index, tenants))
                 for (_, tenants), machine_index in fresh.items()
             ]
             priced.update(zip(fresh, self.backend.run(tasks)))
@@ -183,19 +190,25 @@ class _FleetSolver:
     ) -> float:
         """Gain-weighted cost of a machine hosting ``tenant_indices``.
 
-        A co-location no allocation can make feasible (e.g. the combined
-        degradation limits are unsatisfiable on this machine) prices as
-        ``+inf`` so cost-aware strategies simply avoid it; only a machine
-        the placement actually commits to may raise.
+        Only the per-machine search runs: no report is assembled for a
+        probe.  A co-location no allocation can make feasible (e.g. the
+        combined degradation limits are unsatisfiable on this machine)
+        prices as ``+inf`` so cost-aware strategies simply avoid it; only
+        a machine the placement actually commits to may raise.
         """
         started = time.perf_counter()
         try:
-            report, weighted = self.solve(machine_index, tenant_indices)
+            with self._span(machine_index, tenant_indices) as span:
+                solved, stats = self.fleet_advisor.solve_machine(
+                    self.problem, machine_index, tenant_indices
+                )
+                span.set_attribute("memo_hit", stats is _MEMO_HIT_STATS)
+            self._add_stats(stats)
         except OptimizationError:
             return math.inf
         finally:
             PROBE_LATENCY.observe(time.perf_counter() - started)
-        return weighted
+        return solved.weighted_cost
 
     # ------------------------------------------------------------------
     # Per-machine solves
@@ -203,50 +216,50 @@ class _FleetSolver:
     def solve(
         self, machine_index: int, tenant_indices: Tuple[int, ...]
     ) -> Tuple[RecommendationReport, float]:
-        """Divide one machine among a tenant set with the inner advisor.
+        """Divide one machine the placement commits to among its tenants.
 
         Returns the per-machine report and its gain-weighted total cost.
-        The solve itself is served by the fleet advisor's solve-memo when
-        this (hardware, tenant set) has been solved before; the cost-call
-        statistics the call newly generated — a memo hit contributes only
-        ``placement_solve_hits`` — are folded into :attr:`stats`.
+        The search is served by the fleet advisor's solve-memo when this
+        (hardware, tenant set) has been searched before — a probe of this
+        run usually did — and the report is assembled from it unless the
+        memo already holds one.  The cost-call statistics the call newly
+        generated (a memo hit contributes ``placement_solve_hits``, a new
+        report the traffic of assembling it) are folded into :attr:`stats`.
         """
-        with get_tracer().span(
-            "solve.machine",
-            leaf=True,
-            machine=self.problem.machines[machine_index].name,
-            tenants=len(tenant_indices),
-        ) as span:
-            report, weighted, stats = self.fleet_advisor.solve_machine(
+        with self._span(machine_index, tenant_indices) as span:
+            solved, stats = self.fleet_advisor.solve_machine(
                 self.problem, machine_index, tenant_indices
             )
+            report, assembly = self.fleet_advisor.machine_report(solved)
             span.set_attribute("memo_hit", stats is _MEMO_HIT_STATS)
-        self._add_stats(stats)
-        return report, weighted
+        self._add_stats(stats + assembly)
+        return report, solved.weighted_cost
 
     def solve_many(
         self, targets: Sequence[Tuple[int, Tuple[int, ...]]]
     ) -> List[Tuple[RecommendationReport, float]]:
         """Solve several machines' divisions, fanned out on the backend."""
         tasks = [
-            self._task(machine_index, tenant_indices, probe=False)
+            SolveTask(call=functools.partial(self.solve, machine_index, tenant_indices))
             for machine_index, tenant_indices in targets
         ]
         return self.backend.run(tasks)
 
     # ------------------------------------------------------------------
-    # Backend plumbing
+    # Plumbing
     # ------------------------------------------------------------------
+    def _span(self, machine_index: int, tenant_indices: Tuple[int, ...]) -> Any:
+        """The leaf span one per-machine solve (probe or commit) runs under."""
+        return get_tracer().span(
+            "solve.machine",
+            leaf=True,
+            machine=self.problem.machines[machine_index].name,
+            tenants=len(tenant_indices),
+        )
+
     def _add_stats(self, stats: CostCallStats) -> None:
         with self._stats_lock:
             self.stats = self.stats + stats
-
-    def _task(
-        self, machine_index: int, tenant_indices: Tuple[int, ...], probe: bool
-    ) -> SolveTask:
-        """One probe (a cost) or committed solve (report and cost) as a task."""
-        method = self._machine_cost if probe else self.solve
-        return SolveTask(call=lambda: method(machine_index, tenant_indices))
 
 
 class FleetAdvisor:
@@ -291,9 +304,10 @@ class FleetAdvisor:
         #: Each builder memoizes its consolidated workloads by tenant-spec
         #: value, so re-materializing a tenant returns the same object.
         self._builders: Dict[_BuilderKey, ProblemBuilder] = {}
-        #: Whole per-machine solve results — report + gain-weighted cost —
-        #: keyed by (hardware, tenant-set specs, resource knobs).  Where the
-        #: cost cache saves re-*evaluating* allocations, this saves
+        #: Whole per-machine solve results — search + gain-weighted cost,
+        #: plus the report once a placement commits to the machine — keyed
+        #: by (hardware, tenant-set specs, resource knobs).  Where the cost
+        #: cache saves re-*evaluating* allocations, this saves
         #: re-*searching*: a repeated placement probe or committed division
         #: is one dictionary lookup (it has its own lock; see
         #: :mod:`repro.fleet.solve_memo`).
@@ -410,15 +424,18 @@ class FleetAdvisor:
         problem: FleetProblem,
         machine_index: int,
         tenant_indices: Tuple[int, ...],
-    ) -> Tuple[RecommendationReport, float, CostCallStats]:
-        """Divide one machine among a tenant set, served from the solve-memo.
+    ) -> Tuple[Solved, CostCallStats]:
+        """Search one machine's division of a tenant set, via the solve-memo.
 
-        Returns ``(report, gain-weighted cost, stats)`` where ``stats`` is
-        the cost-call accounting this call *newly* generated: the full
-        solve's statistics on a miss, a single ``placement_solve_hits`` on
-        a hit.  Infeasible tenant sets are memoized too — a repeat ask
-        raises an equivalent :class:`~repro.exceptions.OptimizationError`
-        without re-running the search.
+        Returns ``(entry, stats)``: the memo's :class:`Solved` entry (the
+        inner advisor's :class:`~repro.api.advisor.Search` and its
+        gain-weighted cost, plus the report if a placement has committed
+        to this division before) and the cost-call accounting this call
+        *newly* generated: the search's statistics on a miss, a single
+        ``placement_solve_hits`` on a hit.  Infeasible tenant sets are
+        memoized too — a repeat ask raises an equivalent
+        :class:`~repro.exceptions.OptimizationError` without re-running
+        the search.  :meth:`machine_report` turns an entry into a report.
         """
         ordered = tuple(sorted(tenant_indices))
         machine = problem.machines[machine_index]
@@ -427,20 +444,34 @@ class FleetAdvisor:
         if isinstance(cached, Infeasible):
             raise OptimizationError(cached.message)
         if cached is not None:
-            report, weighted = cached
-            return report, weighted, _MEMO_HIT_STATS
+            return cached, _MEMO_HIT_STATS
         design = self.machine_problem(problem, machine_index, ordered)
         try:
-            report = self.advisor.recommend(design)
+            search = self.advisor.search(design)
         except OptimizationError as error:
             self.solve_memo.put(key, Infeasible(str(error)))
             raise
         weighted = sum(
             tenant.gain_factor * cost
-            for tenant, cost in zip(design.tenants, report.per_workload_costs)
+            for tenant, cost in zip(design.tenants, search.result.per_workload_costs)
         )
-        self.solve_memo.put(key, (report, weighted))
-        return report, weighted, report.cost_stats
+        solved = Solved(search, weighted)
+        self.solve_memo.put(key, solved)
+        return solved, search.cost_stats
+
+    def machine_report(self, solved: Solved) -> Tuple[RecommendationReport, CostCallStats]:
+        """The per-machine report of a :meth:`solve_machine` entry.
+
+        Assembled from the entry's search on the first ask and kept in the
+        entry, so a warm repeat of a committed machine is a pure memo hit.
+        Returns ``(report, stats)`` with the cost-call accounting of the
+        assembly (nothing when the entry already held the report).
+        """
+        if solved.report is not None:
+            return solved.report, _NO_STATS
+        report = self.advisor.report(solved.search)
+        solved.report = report
+        return report, report.cost_stats - solved.search.cost_stats
 
     def clear_caches(self) -> None:
         """Drop the calibrated builders, the solve-memo, and the cost caches."""

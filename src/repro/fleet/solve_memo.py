@@ -10,13 +10,19 @@ request or a replayed trace period asks again about tenant sets an
 earlier run already solved, and machines sharing a ``hardware_key``
 share their candidate sets.
 
-:class:`SolveMemo` closes that gap by caching the *entire solve result* —
-the chosen allocation (as a :class:`~repro.api.report.RecommendationReport`)
-plus its gain-weighted cost — keyed by the value of everything the answer
-depends on: the machine's hardware shape (+ calibration overrides), the
-tenant-set spec digest, and the problem's resource/memory-model knobs (see
-``FleetAdvisor._solve_key``).  Each fleet advisor owns its memo and keeps
-one inner advisor for life, so answers never cross advisor configurations.
+:class:`SolveMemo` closes that gap by caching the *entire solve result*
+keyed by the value of everything the answer depends on: the machine's
+hardware shape (+ calibration overrides), the tenant-set spec digest, and
+the problem's resource/memory-model knobs (see ``FleetAdvisor._solve_key``).
+An entry (:class:`Solved`) holds the per-machine
+:class:`~repro.api.advisor.Search` and its gain-weighted cost — all a
+placement probe reads — and, once a placement commits to the machine,
+the :class:`~repro.api.report.RecommendationReport` assembled from that
+search.  A placement prices many tenant sets but commits to at most one
+per machine, so the sets it only probes never pay for a report, and a
+warm repeat of a committed machine is still one lookup.  Each fleet
+advisor owns its memo and keeps one inner advisor for life, so answers
+never cross advisor configurations.
 A memo hit turns a repeat probe into one dictionary lookup.  Within one
 placement run the fleet solver asks the memo only once per (hardware
 shape, tenant set) and answers repeat asks from its own per-run cost
@@ -41,8 +47,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
+from ..api.advisor import Search
+from ..api.report import RecommendationReport
 from ..exceptions import ConfigurationError
 from ..telemetry.instruments import MEMO_HITS, MEMO_MISSES
 
@@ -69,11 +77,29 @@ class Infeasible:
         return f"Infeasible({self.message!r})"
 
 
+class Solved:
+    """Memoized outcome of a feasible per-machine solve.
+
+    ``search`` and its gain-weighted cost are set when the solve is first
+    made; ``report`` stays ``None`` until a placement commits to the
+    machine and the fleet advisor assembles it from ``search``.  Two
+    threads committing at once may both assemble it: the reports are
+    equal, and the entry keeps whichever is stored last.
+    """
+
+    __slots__ = ("search", "weighted_cost", "report")
+
+    def __init__(self, search: Search, weighted_cost: float) -> None:
+        self.search = search
+        self.weighted_cost = weighted_cost
+        self.report: Optional[RecommendationReport] = None
+
+
 class SolveMemo:
     """Thread-safe, LRU-bounded memo of whole per-machine solve results.
 
-    Values are either ``(report, weighted_cost)`` tuples or
-    :class:`Infeasible` markers; keys are opaque hashables built by the
+    Values are either :class:`Solved` entries or :class:`Infeasible`
+    markers; keys are opaque hashables built by the
     fleet advisor.  All statistics are monotone counters over the memo's
     lifetime (:meth:`clear` resets them with the entries).
     """
@@ -93,8 +119,8 @@ class SolveMemo:
         """The memoized result for ``key``, or ``None`` (counted as a miss).
 
         A hit refreshes the entry's LRU position and increments
-        :attr:`hits`; the caller distinguishes feasible results (a
-        ``(report, weighted)`` tuple) from :class:`Infeasible` markers.
+        :attr:`hits`; the caller distinguishes feasible results
+        (:class:`Solved` entries) from :class:`Infeasible` markers.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -111,7 +137,7 @@ class SolveMemo:
         return entry
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Store a solve result (or :class:`Infeasible`), evicting LRU-first."""
+        """Store a solve result (:class:`Solved` or :class:`Infeasible`), evicting LRU-first."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
@@ -152,5 +178,3 @@ class SolveMemo:
             "hit_rate": hits / lookups if lookups else 0.0,
         }
 
-
-SolveResult = Tuple[Any, float]

@@ -642,9 +642,10 @@ def resolve_placement(
     The one rule set behind ``python -m repro fleet`` and ``POST /fleet``:
     ``local_search`` is an improvement-round budget that implies
     ``"greedy-cost+ls"``; ``max_nodes`` / ``max_seconds`` budget the exact
-    search and imply ``"bnb-fleet"``; a request may not use both families,
-    and every name and budget is validated here, so a bad request is
-    rejected before any solve starts.  Returns ``None`` when nothing was
+    search and imply ``"bnb-fleet"``.  A budget may not name another
+    placement, a request may not use both families, and every name and
+    budget is validated here, so a bad request is rejected before any
+    solve starts.  Returns ``None`` when nothing was
     asked for (the fleet advisor's own strategy applies), the name when no
     budget was given, and a configured strategy otherwise.
     """
@@ -694,6 +695,12 @@ def resolve_placement(
         return PLACEMENTS.create(name, **options)
     if local_search is None:
         return placement
+    name = placement if placement is not None else "greedy-cost+ls"
+    if name != "greedy-cost+ls":
+        raise ConfigurationError(
+            f"local_search only applies to the greedy-cost+ls placement, "
+            f"not {name!r}"
+        )
     if isinstance(local_search, bool) or not isinstance(local_search, int):
         raise ConfigurationError(
             f"local_search must be an integer improvement-round budget; "
@@ -703,5 +710,4 @@ def resolve_placement(
         raise ConfigurationError(
             f"local_search must be >= 0, got {local_search}"
         )
-    name = placement if placement is not None else "greedy-cost+ls"
     return PLACEMENTS.create(name, max_rounds=local_search)

@@ -30,10 +30,11 @@ __all__ = [
     "LOADGEN_LATENCY",
 ]
 
-#: Per-machine enumerator solves (an actual search; memo hits excluded).
+#: Enumerator searches (``Advisor.search``; fleet solve-memo hits and
+#: report assembly excluded).
 SOLVE_LATENCY = REGISTRY.histogram(
     "repro_solve_latency_seconds",
-    "Wall time of per-machine advisor solves (memo misses only).",
+    "Wall time of advisor enumerator searches (fleet: solve-memo misses only).",
     buckets=LATENCY_BUCKETS,
 )
 

@@ -437,34 +437,35 @@ class TestCostCache:
         import threading
         from types import SimpleNamespace
 
-        from repro.core.problem import ResourceAllocation
-
         cache = CostCache(max_entries=64)
         tenants = [
             SimpleNamespace(workload=object(), calibration=object())
             for _ in range(8)
         ]
-        allocations = [
-            ResourceAllocation(cpu_share=0.05 + 0.05 * step, memory_fraction=0.5)
-            for step in range(16)
-        ]
+        grid = [(0.05 + 0.05 * step, 0.5) for step in range(16)]
         n_threads, rounds = 8, 400
-        lookups_per_thread = rounds * 2  # one get before, one after each put
+        lookups_per_thread = rounds * 2  # one lookup before, one after each store
         barrier = threading.Barrier(n_threads)
         errors = []
 
+        def lookup(row, shares):
+            value = row.get(shares)
+            cache.count(int(value is not None), int(value is None))
+            return value
+
         def worker(seed: int) -> None:
             try:
-                barrier.wait()
+                barrier.wait(timeout=30)
                 for step in range(rounds):
                     tenant = tenants[(seed + step) % len(tenants)]
-                    allocation = allocations[(seed * 7 + step) % len(allocations)]
-                    cache.get("what-if", tenant, allocation)
-                    cache.put("what-if", tenant, allocation, float(step))
-                    value = cache.get("what-if", tenant, allocation)
-                    # A racing generational reset may evict the value, but a
-                    # present value must be a float some thread stored.
-                    assert value is None or isinstance(value, float)
+                    shares = grid[(seed * 7 + step) % len(grid)]
+                    row = cache.row("what-if", tenant)
+                    lookup(row, shares)
+                    row = cache.store("what-if", tenant, row, {shares: float(step)})
+                    # A racing generational reset drops the row from the
+                    # cache but never empties it: the stored value stays
+                    # readable by whoever holds the row.
+                    assert isinstance(lookup(row, shares), float)
                     assert cache.size <= cache.max_entries
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
@@ -476,14 +477,16 @@ class TestCostCache:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        # Every get() incremented exactly one of the two counters.
+        # Every lookup incremented exactly one of the two counters.
         assert cache.hits + cache.misses == n_threads * lookups_per_thread
         assert cache.size <= cache.max_entries
 
     def test_concurrent_batches_keep_counters_and_bound_sound(self):
-        # The batch face of the test above: get_many/put_many from more
+        # The batch face of the test above: whole batches looked up in a
+        # row, counted once and their misses stored at once, from more
         # threads than cores, with a tiny switch interval so threads
         # interleave mid-batch.  A counter update lost outside the lock
         # breaks the lookup total; a store racing the reset breaks the bound.
@@ -491,17 +494,12 @@ class TestCostCache:
         import threading
         from types import SimpleNamespace
 
-        from repro.core.problem import ResourceAllocation
-
         cache = CostCache(max_entries=64)
         tenants = [
             SimpleNamespace(workload=object(), calibration=object())
             for _ in range(4)
         ]
-        allocations = [
-            ResourceAllocation(cpu_share=0.05 * step, memory_fraction=0.5)
-            for step in range(1, 21)
-        ]
+        grid = [(0.05 * step, 0.5) for step in range(1, 21)]
         n_threads, rounds, batch = 8, 200, 5
         barrier = threading.Barrier(n_threads)
         errors = []
@@ -511,12 +509,13 @@ class TestCostCache:
                 barrier.wait(timeout=30)
                 for step in range(rounds):
                     tenant = tenants[(seed + step) % len(tenants)]
-                    start = (seed * 3 + step) % (len(allocations) - batch)
-                    chosen = allocations[start : start + batch]
-                    keys, values = cache.get_many("what-if", tenant, chosen)
-                    cache.put_many(
-                        tenant,
-                        {key: float(step) for key, value in zip(keys, values) if value is None},
+                    start = (seed * 3 + step) % (len(grid) - batch)
+                    chosen = grid[start : start + batch]
+                    row = cache.row("what-if", tenant)
+                    missing = [shares for shares in chosen if shares not in row]
+                    cache.count(batch - len(missing), len(missing))
+                    cache.store(
+                        "what-if", tenant, row, {shares: float(step) for shares in missing}
                     )
                     assert cache.size <= cache.max_entries
             except BaseException as error:  # pragma: no cover - failure path
@@ -538,6 +537,107 @@ class TestCostCache:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert cache.hits + cache.misses == n_threads * rounds * batch
+        assert cache.size <= cache.max_entries
+
+    def test_rows_resolved_before_a_reset_stay_correct_and_bounded(self):
+        # Cost functions that resolved their rows before a generational
+        # reset keep answering from those rows after it; their stores go to
+        # re-resolved rows, so no thread grows a dropped row past the
+        # bound.  Eight threads, a key space five times the bound, and a
+        # tiny switch interval make resets land between every step.
+        import sys
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core.problem import ResourceAllocation
+
+        class Estimator:
+            """A deterministic stand-in for the what-if estimator."""
+
+            cache_namespace = "stub"
+
+            def __init__(self):
+                self.call_count = 0
+
+            @staticmethod
+            def value(index, allocation):
+                return 10.0 * index + allocation.cpu_share + allocation.memory_fraction
+
+            def cost(self, index, allocation):
+                self.call_count += 1
+                return self.value(index, allocation)
+
+            def cost_many(self, index, allocations):
+                self.call_count += len(allocations)
+                return [self.value(index, allocation) for allocation in allocations]
+
+        tenants = [
+            SimpleNamespace(workload=object(), calibration=object())
+            for _ in range(4)
+        ]
+        problem = SimpleNamespace(n_workloads=len(tenants), tenant=tenants.__getitem__)
+        allocations = [
+            ResourceAllocation(cpu_share=0.05 * step, memory_fraction=0.5)
+            for step in range(1, 21)
+        ]
+
+        # Deterministically first: a store through a row dropped by a
+        # reset lands in the cache's current row, where a view resolved
+        # afterwards finds it.
+        cache = CostCache(max_entries=2)
+        stale = CachedCostFunction(problem, Estimator(), cache)
+        stale.cost(0, allocations[0])
+        other = CachedCostFunction(problem, Estimator(), cache)
+        other.cost(1, allocations[0])
+        other.cost(1, allocations[1])  # the third value resets the cache
+        assert stale.cost(0, allocations[1]) == Estimator.value(0, allocations[1])
+        fresh = CachedCostFunction(problem, Estimator(), cache)
+        assert fresh.cost(0, allocations[1]) == Estimator.value(0, allocations[1])
+        assert fresh.evaluations == 0
+        assert cache.size <= cache.max_entries
+
+        cache = CostCache(max_entries=16)
+        n_threads, rounds, batch = 8, 150, 4
+        barrier = threading.Barrier(n_threads)
+        lookups = [0] * n_threads
+        errors = []
+
+        def worker(seed: int) -> None:
+            try:
+                costs = CachedCostFunction(problem, Estimator(), cache)
+                for index in range(len(tenants)):  # resolve every row up front
+                    costs.cost(index, allocations[seed])
+                lookups[seed] += len(tenants)
+                barrier.wait(timeout=30)
+                for step in range(rounds):
+                    index = (seed + step) % len(tenants)
+                    start = (seed * 3 + step) % (len(allocations) - batch)
+                    chosen = allocations[start : start + batch]
+                    assert costs.cost_many(index, chosen) == [
+                        Estimator.value(index, allocation) for allocation in chosen
+                    ]
+                    assert costs.cost(index, chosen[0]) == Estimator.value(index, chosen[0])
+                    lookups[seed] += batch + 1
+                    assert cache.size <= cache.max_entries
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cache.hits + cache.misses == sum(lookups)
         assert cache.size <= cache.max_entries
 
     def test_concurrent_memos_hand_out_one_object_per_key(self, fast_calibration):

@@ -150,3 +150,55 @@ def test_bnb_succeeds_whenever_exhaustive_does(seed):
     assert set(report.placement) == {
         tenant.name for tenant in problem.tenants
     }, f"seed={seed}"
+
+
+def _committed_machines(problem, report):
+    """(machine index, tenant indices) of every occupied machine of a report."""
+    index_of = {tenant.name: index for index, tenant in enumerate(problem.tenants)}
+    return [
+        (machine_index, tuple(index_of[name] for name in machine.tenants))
+        for machine_index, machine in enumerate(report.machines)
+        if machine.tenants
+    ]
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_committed_reports_are_what_the_advisor_recommends(seed):
+    """A committed machine's report is ``Advisor.recommend``'s for it.
+
+    Placement probes price machines from per-machine searches alone, and a
+    machine's report is assembled from its memoized search only when the
+    placement commits to it.  Each run gets a fresh fleet advisor, so
+    every commit reuses a search its own probes made; the report must
+    still equal a direct recommend on the same per-machine problem.
+    """
+    problem = fleet_from_seed(seed)
+    runs = []
+    for name in ("greedy-cost", "greedy-cost+ls", "bnb-fleet"):
+        advisor = FleetAdvisor(delta=0.25)
+        try:
+            runs.append((advisor, advisor.recommend(problem, placement=name)))
+        except PlacementError:
+            continue
+    if runs:
+        advisor = FleetAdvisor(delta=0.25)
+        moved = [problem.tenants[0].name]
+        try:
+            runs.append(
+                (advisor, advisor.recommend_incremental(problem, runs[0][1], moved=moved))
+            )
+        except PlacementError:
+            pass
+    for advisor, report in runs:
+        for machine_index, tenants in _committed_machines(problem, report):
+            direct = advisor.advisor.recommend(
+                advisor.machine_problem(problem, machine_index, tenants)
+            )
+            assert report.machines[machine_index].report.canonical_dict() == (
+                direct.canonical_dict()
+            ), f"seed={seed} strategy={report.strategy} machine={machine_index}"

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Advisor
 from repro.api.report import CostCallStats
 from repro.exceptions import ConfigurationError, OptimizationError, PlacementError
 from repro.fleet import (
@@ -43,7 +44,7 @@ from repro.parallel.backends import (
     SolveTask,
     ThreadBackend,
 )
-from repro.telemetry.instruments import PLACEMENT_PROBES
+from repro.telemetry.instruments import PLACEMENT_PROBES, SOLVE_LATENCY
 
 
 def small_fleet(n_tenants=4, n_machines=2, **overrides):
@@ -310,18 +311,29 @@ class TestAdvisorSolveMemo:
         ordered = tuple(range(problem.n_tenants))
         key = advisor._solve_key(problem, problem.machines[0], ordered)
         advisor.solve_memo.put(key, Infeasible("seeded infeasibility"))
+        misses_before = advisor.solve_memo.misses
+        searches_before = SOLVE_LATENCY.count
         with pytest.raises(OptimizationError, match="seeded infeasibility"):
             advisor.solve_machine(problem, 0, ordered)
+        assert advisor.solve_memo.misses == misses_before
+        assert SOLVE_LATENCY.count == searches_before
 
     def test_memo_hit_report_is_the_same_object_value(self):
         advisor = FleetAdvisor(delta=0.25)
         problem = small_fleet(n_tenants=2, n_machines=1)
-        report_a, weighted_a, stats_a = advisor.solve_machine(problem, 0, (0, 1))
-        report_b, weighted_b, stats_b = advisor.solve_machine(problem, 0, (0, 1))
+        solved_a, stats_a = advisor.solve_machine(problem, 0, (0, 1))
+        report_a, assembly_a = advisor.machine_report(solved_a)
+        solved_b, stats_b = advisor.solve_machine(problem, 0, (0, 1))
+        report_b, assembly_b = advisor.machine_report(solved_b)
         assert stats_a.placement_solve_hits == 0
+        assert assembly_a.lookups > 0  # the first ask assembled the report
         assert stats_b.placement_solve_hits == 1
         assert stats_b.evaluations == 0
-        assert weighted_b == weighted_a
+        # The memo kept the committed report: the repeat assembles nothing.
+        assert assembly_b.lookups == 0
+        assert solved_b is solved_a
+        assert report_b is report_a
+        assert solved_b.weighted_cost == solved_a.weighted_cost
         assert report_b.canonical_dict() == report_a.canonical_dict()
 
 
@@ -356,6 +368,32 @@ class TestPerRunCostTable:
         assert occupied > 0
         assert advisor.solve_memo.hits == occupied
         assert report.cost_stats.placement_solve_hits == occupied
+
+    @pytest.mark.parametrize(
+        "placement", ["bnb-fleet", "greedy-cost+ls", "greedy-cost"]
+    )
+    def test_cold_run_assembles_reports_only_for_committed_machines(
+        self, placement, monkeypatch
+    ):
+        # Probes read a search's cost and nothing else: the only reports a
+        # cold run assembles are the committed machines'.  The probes'
+        # searches still account for the engines' optimizer work.
+        assembled = []
+        tenant_reports = Advisor._tenant_reports
+
+        def counting(advisor, *args):
+            assembled.append(args)
+            return tenant_reports(advisor, *args)
+
+        monkeypatch.setattr(Advisor, "_tenant_reports", counting)
+        advisor = FleetAdvisor(delta=0.25)
+        report = advisor.recommend(
+            small_fleet(n_tenants=6, n_machines=3), placement=placement
+        )
+        occupied = sum(1 for machine in report.machines if machine.tenants)
+        assert len(assembled) == occupied
+        assert report.cost_stats.optimizer_calls > 0
+        assert report.cost_stats.plan_cache_hits > 0
 
     def test_repeat_asks_dispatch_no_task(self, shared_advisor):
         problem = small_fleet(n_tenants=2, n_machines=2)

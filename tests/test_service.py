@@ -417,6 +417,14 @@ class TestHTTPServer:
             ),
             (["--bnb-max-nodes", "0"], {"max_nodes": 0}),
             (["--bnb-max-seconds", "-1.5"], {"max_seconds": -1.5}),
+            (
+                ["--placement", "round-robin", "--local-search", "3"],
+                {"placement": "round-robin", "local_search": 3},
+            ),
+            (
+                ["--placement", "bnb-fleet", "--local-search", "3"],
+                {"placement": "bnb-fleet", "local_search": 3},
+            ),
         ],
     )
     def test_fleet_rejects_bad_placement_requests_as_the_cli_does(
