@@ -46,7 +46,7 @@ from ..exceptions import ConfigurationError
 from ..monitoring.metrics import improvement_over_default, relative_improvement
 from ..telemetry.instruments import SOLVE_LATENCY
 from ..telemetry.trace import get_tracer
-from .cache import CachedCostFunction, CostCache
+from .cache import CachedCostFunction, CostCache, _Row
 from .report import (
     CostCallStats,
     RecommendationReport,
@@ -152,8 +152,8 @@ class Advisor:
         self.delta = delta
         self.min_share = min_share
         self.max_iterations = max_iterations
-        self.enumerator = enumerator  # property: resolves names, tracks provenance
         self._cost_function_spec = cost_function
+        self.enumerator = enumerator  # property: resolves names, tracks provenance
         self._refinement_spec = refinement
         #: One shared cache per named cost-function strategy.  When the
         #: pool is caller-supplied it may be concurrently extended by other
@@ -184,6 +184,28 @@ class Advisor:
     def enumerator(self, spec: EnumeratorSpec) -> None:
         self._enumerator_name = _strategy_name(spec)
         self._enumerator = self._resolve_enumerator(spec)
+        #: The provenance of every search by this enumerator over the
+        #: advisor's cost function, built once (its options are read-only).
+        self._provenance = self._provenance_of(
+            self._enumerator, self._enumerator_name, self._cost_function_spec
+        )
+
+    def _provenance_of(
+        self,
+        strategy: EnumerationStrategy,
+        enumerator_name: str,
+        cost_function: CostFunctionSpec,
+    ) -> StrategyProvenance:
+        return StrategyProvenance(
+            enumerator=enumerator_name,
+            cost_function=_strategy_name(cost_function),
+            refinement=None,
+            options={
+                "delta": getattr(strategy, "delta", self.delta),
+                "min_share": getattr(strategy, "min_share", self.min_share),
+                "max_iterations": self.max_iterations,
+            },
+        )
 
     def _resolve_enumerator(self, spec: EnumeratorSpec) -> EnumerationStrategy:
         if isinstance(spec, str):
@@ -207,6 +229,7 @@ class Advisor:
         self,
         problem: VirtualizationDesignProblem,
         override: Optional[CostFunctionSpec] = None,
+        rows: Optional[List[Optional[_Row]]] = None,
     ) -> CachedCostFunction:
         """A fresh cached cost function for ``problem``.
 
@@ -214,7 +237,9 @@ class Advisor:
         shared :class:`~repro.api.cache.CostCache`, which keys on the
         tenants' workload and calibration objects, so a repeated
         ``recommend`` evaluates nothing new.  An instance spec is
-        caller-owned and gets a private cache.
+        caller-owned and gets a private cache.  ``rows`` is the caller's
+        list of the tenants' cache rows under the same strategy (see
+        :class:`~repro.api.cache.CachedCostFunction`).
         """
         spec = override if override is not None else self._cost_function_spec
         if not isinstance(spec, str):
@@ -229,11 +254,11 @@ class Advisor:
                 raise ConfigurationError(
                     "the supplied cost function is bound to a different problem"
                 )
-            return CachedCostFunction(problem, spec, CostCache())
+            return CachedCostFunction(problem, spec, CostCache(), rows)
         inner = COST_FUNCTIONS.create(spec, problem=problem)
         with self._caches_lock:
             cache = self._shared_caches.setdefault(spec, CostCache())
-        return CachedCostFunction(problem, inner, cache)
+        return CachedCostFunction(problem, inner, cache, rows)
 
     def _grid_enumerator(self) -> EnumerationStrategy:
         """An enumerator with the delta/min_share grid attributes.
@@ -292,14 +317,22 @@ class Advisor:
         search = self._search(problem, costs, cost_function, enumerator)
         return self._report(search, costs)
 
-    def search(self, problem: VirtualizationDesignProblem) -> Search:
+    def search(
+        self,
+        problem: VirtualizationDesignProblem,
+        rows: Optional[List[Optional[_Row]]] = None,
+    ) -> Search:
         """Run the enumerator's search over ``problem``, assembling no report.
 
         The first half of :meth:`recommend`: the allocations, their costs
         and the search's cost-call statistics, from which :meth:`report`
         assembles the report the whole :meth:`recommend` would return.
+        ``rows`` is the caller's list of the tenants' rows in the advisor's
+        cost cache, ``None`` where not known yet; the search fills in the
+        ones it resolves, so a caller meeting the same tenants in many
+        problems (a fleet run) resolves each tenant's row once.
         """
-        return self._search(problem, self.cost_function(problem))
+        return self._search(problem, self.cost_function(problem, rows=rows))
 
     def report(self, search: Search) -> RecommendationReport:
         """The report of a :meth:`search`: what :meth:`recommend` returns.
@@ -340,22 +373,16 @@ class Advisor:
 
         elapsed = time.perf_counter() - started
         SOLVE_LATENCY.observe(elapsed)
-        provenance = StrategyProvenance(
-            enumerator=(
-                self._enumerator_name if enumerator is None
-                else _strategy_name(enumerator)
-            ),
-            cost_function=_strategy_name(
-                cost_function if cost_function is not None
-                else self._cost_function_spec
-            ),
-            refinement=None,
-            options={
-                "delta": getattr(strategy, "delta", self.delta),
-                "min_share": getattr(strategy, "min_share", self.min_share),
-                "max_iterations": self.max_iterations,
-            },
-        )
+        if enumerator is None and cost_function is None:
+            provenance = self._provenance
+        else:
+            provenance = self._provenance_of(
+                strategy,
+                self._enumerator_name
+                if enumerator is None
+                else _strategy_name(enumerator),
+                self._cost_function_spec if cost_function is None else cost_function,
+            )
         return Search(
             problem=problem,
             result=result,

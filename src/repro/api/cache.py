@@ -205,7 +205,18 @@ class CachedCostFunction(CostFunction):
     (its family plus cost-relevant parameters), so one cache shared across
     differently-configured cost functions stays sound.  Each tenant's row
     is resolved on its first lookup and kept for the life of this view
-    (one view serves one problem), so a hit is one lookup in that row.
+    (one view serves one problem), so a hit is one lookup in that row.  A
+    caller that meets the same tenants in many problems (a fleet run
+    probing tenant sets) passes ``rows``, its list of the problem's
+    tenants' rows in tenant order with ``None`` where one is not known
+    yet: the view fills a missing row in on first use, and swaps in the
+    current one if a generational reset dropped it, so the caller resolves
+    each tenant's row once.
+
+    :meth:`cost`, :meth:`cost_many` and :meth:`cost_shares` (the greedy
+    enumerator's ``(cpu, memory)`` share pairs) are one keyed lookup,
+    :meth:`_lookup`; a cached pair is answered without building an
+    allocation.
     """
 
     def __init__(
@@ -213,6 +224,7 @@ class CachedCostFunction(CostFunction):
         problem: VirtualizationDesignProblem,
         inner: CostFunction,
         cache: Optional[CostCache] = None,
+        rows: Optional[List[Optional[_Row]]] = None,
     ) -> None:
         # Deliberately no super().__init__(): ``call_count`` is a read-only
         # mirror of the wrapped function's counter here, not an attribute.
@@ -220,8 +232,14 @@ class CachedCostFunction(CostFunction):
         self.inner = inner
         self.cache = cache if cache is not None else CostCache()
         self._namespace = getattr(inner, "cache_namespace", type(inner).__name__)
-        #: Each tenant's cache row by tenant index, resolved on first use.
-        self._rows: Dict[int, _Row] = {}
+        if rows is None:
+            rows = [None] * problem.n_workloads
+        elif len(rows) != problem.n_workloads:
+            raise ValueError(
+                f"expected {problem.n_workloads} cache rows, got {len(rows)}"
+            )
+        #: Each tenant's cache row by tenant index, ``None`` until first use.
+        self._rows = rows
         batch = getattr(inner, "cost_many", None)
         if callable(batch):
             self._evaluate_many = batch
@@ -243,19 +261,6 @@ class CachedCostFunction(CostFunction):
     def evaluations(self) -> int:
         return self.inner.call_count
 
-    def _resolve_row(self, tenant_index: int) -> _Row:
-        if not 0 <= tenant_index < self.problem.n_workloads:
-            raise EstimationError(f"tenant index {tenant_index} out of range")
-        row = self._rows[tenant_index] = self.cache.row(
-            self._namespace, self.problem.tenant(tenant_index)
-        )
-        return row
-
-    def _store(self, tenant_index: int, row: _Row, values: Dict[_Shares, float]) -> None:
-        self._rows[tenant_index] = self.cache.store(
-            self._namespace, self.problem.tenant(tenant_index), row, values
-        )
-
     # ------------------------------------------------------------------
     # CostFunction surface
     # ------------------------------------------------------------------
@@ -266,21 +271,8 @@ class CachedCostFunction(CostFunction):
 
     def cost(self, tenant_index: int, allocation: ResourceAllocation) -> float:
         """Cost (seconds) of tenant ``tenant_index`` under ``allocation``."""
-        row = self._rows.get(tenant_index)
-        if row is None:
-            row = self._resolve_row(tenant_index)
-        shares = (
-            round(allocation.cpu_share, _CACHE_DECIMALS),
-            round(allocation.memory_fraction, _CACHE_DECIMALS),
-        )
-        value = row.get(shares)
-        if value is not None:
-            self.cache.count(1, 0)
-            return value
-        self.cache.count(0, 1)
-        value = self.inner.cost(tenant_index, allocation)
-        self._store(tenant_index, row, {shares: value})
-        return value
+        shares = ((allocation.cpu_share, allocation.memory_fraction),)
+        return self._lookup(tenant_index, shares)[0]
 
     def cost_many(
         self, tenant_index: int, allocations: Sequence[ResourceAllocation]
@@ -292,27 +284,49 @@ class CachedCostFunction(CostFunction):
         matches what the equivalent sequence of :meth:`cost` calls would
         record (a repeated allocation counts as a hit).
         """
-        row = self._rows.get(tenant_index)
-        if row is None:
-            row = self._resolve_row(tenant_index)
-        keys = [
-            (
-                round(allocation.cpu_share, _CACHE_DECIMALS),
-                round(allocation.memory_fraction, _CACHE_DECIMALS),
-            )
+        shares = [
+            (allocation.cpu_share, allocation.memory_fraction)
             for allocation in allocations
+        ]
+        return self._lookup(tenant_index, shares)
+
+    def cost_shares(self, tenant_index: int, shares: Sequence[_Shares]) -> List[float]:
+        """:meth:`cost_many` at ``(cpu_share, memory_fraction)`` pairs."""
+        return self._lookup(tenant_index, shares)
+
+    def _lookup(self, tenant_index: int, shares: Sequence[_Shares]) -> List[float]:
+        """Costs of one tenant at share pairs: the one keyed lookup path.
+
+        Keys round each pair as the cost functions quantize it.  Only a
+        miss builds an allocation, from its first pair in the batch, and
+        the wrapped function evaluates the batch's distinct misses at once.
+        """
+        rows = self._rows
+        if not 0 <= tenant_index < len(rows):
+            raise EstimationError(f"tenant index {tenant_index} out of range")
+        row = rows[tenant_index]
+        if row is None:
+            row = rows[tenant_index] = self.cache.row(
+                self._namespace, self.problem.tenant(tenant_index)
+            )
+        keys = [
+            (round(cpu, _CACHE_DECIMALS), round(memory, _CACHE_DECIMALS))
+            for cpu, memory in shares
         ]
         values = list(map(row.get, keys))
         if None not in values:
             self.cache.count(len(values), 0)
             return values
-        missing: Dict[_Shares, ResourceAllocation] = {}
-        for key, allocation, value in zip(keys, allocations, values):
+        missing: Dict[_Shares, _Shares] = {}
+        for key, pair, value in zip(keys, shares, values):
             if value is None:
-                missing.setdefault(key, allocation)
+                missing.setdefault(key, pair)
         self.cache.count(len(keys) - len(missing), len(missing))
-        fresh = dict(
-            zip(missing, self._evaluate_many(tenant_index, list(missing.values())))
+        allocations = [
+            ResourceAllocation(cpu, memory) for cpu, memory in missing.values()
+        ]
+        fresh = dict(zip(missing, self._evaluate_many(tenant_index, allocations)))
+        rows[tenant_index] = self.cache.store(
+            self._namespace, self.problem.tenant(tenant_index), row, fresh
         )
-        self._store(tenant_index, row, fresh)
         return [fresh[key] if value is None else value for key, value in zip(keys, values)]

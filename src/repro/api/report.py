@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.advisor import Recommendation
@@ -92,12 +93,19 @@ class TenantReport:
 
 @dataclass(frozen=True)
 class StrategyProvenance:
-    """Which strategies produced a recommendation, and with what knobs."""
+    """Which strategies produced a recommendation, and with what knobs.
+
+    ``options`` is a read-only copy of the mapping it was built with: an
+    advisor hands one provenance to every report its enumerator makes.
+    """
 
     enumerator: str
     cost_function: str
     refinement: Optional[str] = None
-    options: Dict[str, Any] = field(default_factory=dict)
+    options: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..dbms.execution import ExecutionModel
 from ..exceptions import EstimationError
@@ -112,6 +112,21 @@ class CostFunction(ABC):
                     f"{tenant_index}"
                 )
         return values
+
+    def cost_shares(
+        self, tenant_index: int, shares: Sequence[Tuple[float, float]]
+    ) -> List[float]:
+        """Costs of one tenant at ``(cpu_share, memory_fraction)`` pairs.
+
+        :meth:`cost_many` over the allocations the pairs name.  The greedy
+        enumerator probes its moves as pairs;
+        :class:`~repro.api.cache.CachedCostFunction` answers cached pairs
+        without building an allocation.
+        """
+        return self.cost_many(
+            tenant_index,
+            [ResourceAllocation(cpu, memory) for cpu, memory in shares],
+        )
 
     def weighted_cost(self, tenant_index: int, allocation: ResourceAllocation) -> float:
         """Gain-weighted cost ``G_i * Cost(W_i, R_i)``."""

@@ -44,6 +44,7 @@ import numpy as np
 from ..exceptions import OptimizationError
 from .cost_estimator import CostFunction
 from .problem import (
+    CPU,
     ResourceAllocation,
     UNLIMITED_DEGRADATION,
     VirtualizationDesignProblem,
@@ -51,16 +52,20 @@ from .problem import (
 
 _EPSILON = 1e-9
 
+#: A ``(cpu_share, memory_fraction)`` pair: how the greedy probes a move.
+_Shares = Tuple[float, float]
+
 #: One greedy move pair of one tenant and resource: ``(gain, increased,
-#: weighted cost up, loss, reduced, weighted cost down)``.  A step up past
-#: the full machine has gain ``-inf``; a step down below ``min_share`` or
-#: past the tenant's degradation limit has loss ``+inf``.
+#: raw cost up, loss, reduced, raw cost down)``, the two moves as share
+#: pairs.  A step up past the full machine has gain ``-inf``; a step down
+#: below ``min_share`` or past the tenant's degradation limit has loss
+#: ``+inf``.
 _Moves = Tuple[
     float,
-    Optional[ResourceAllocation],
+    Optional[_Shares],
     float,
     float,
-    Optional[ResourceAllocation],
+    Optional[_Shares],
     float,
 ]
 
@@ -291,6 +296,18 @@ def _result_from_tables(
     )
 
 
+def _stepped(
+    allocation: ResourceAllocation, resource: str, step: float
+) -> ResourceAllocation:
+    """``allocation`` with one resource's share moved by ``step``, kept in [0, 1].
+
+    The clamp only touches a share that ``±delta`` float noise carried a
+    hair past either end, which no allocation could hold.
+    """
+    share = allocation.get(resource) + step
+    return allocation.with_resource(resource, min(1.0, max(0.0, share)))
+
+
 class GreedyConfigurationEnumerator:
     """The greedy configuration enumeration algorithm of Figure 11."""
 
@@ -333,47 +350,54 @@ class GreedyConfigurationEnumerator:
             self._repair_degradation(problem, cost_function, full_costs, allocations)
         gains = [problem.tenant(i).gain_factor for i in range(n)]
         bounds = _bounds_from_full_costs(problem, full_costs)
-        weighted = [
-            gains[i] * cost_function.cost(i, allocations[i]) for i in range(n)
-        ]
+        # Each tenant's raw cost at its current allocation: a move's probe
+        # priced it, so the result needs no lookup of its own.
+        raw = [cost_function.cost(i, allocations[i]) for i in range(n)]
+        weighted = [gains[i] * raw[i] for i in range(n)]
+        delta, ceiling, floor = self.delta, 1.0 + _EPSILON, self.min_share - _EPSILON
+        on_cpu = [resource == CPU for resource in problem.resources]
 
         def probe(i: int) -> List[_Moves]:
             """Tenant ``i``'s one-step moves of every resource, in one batch.
 
             Who benefits most from an increase?  A share within delta of
-            the full machine absorbs a clamped step; the probed allocation
-            object itself is what a winning move applies, so probe and
-            apply can never diverge (and ``weighted[i]`` stays consistent).
-            Who suffers least from a reduction?  Only a reduction that keeps
-            the tenant within its degradation limit may be chosen.
+            the full machine absorbs a clamped step.  Who suffers least
+            from a reduction?  Only a reduction that keeps the tenant within
+            its degradation limit may be chosen; a step within delta of
+            zero is clamped to zero, so every probed share lies in [0, 1].
+            Moves are priced as share pairs, and the pair a winning move
+            applies is the one probed, so probe and apply can never diverge
+            (and ``weighted[i]`` stays consistent).
             """
-            allocation, gain_factor, bound = allocations[i], gains[i], bounds.get(i)
+            cpu, memory = allocations[i].cpu_share, allocations[i].memory_fraction
             steps = []
-            for resource in problem.resources:
-                share = allocation.get(resource)
+            batch: List[_Shares] = []
+            for is_cpu in on_cpu:
+                share = cpu if is_cpu else memory
                 increased = reduced = None
-                if share + self.delta <= 1.0 + _EPSILON:
-                    increased = allocation.with_resource(
-                        resource, min(1.0, share + self.delta)
-                    )
-                if share - self.delta >= self.min_share - _EPSILON:
-                    reduced = allocation.shifted(resource, -self.delta)
+                if share + delta <= ceiling:
+                    up = min(1.0, share + delta)
+                    increased = (up, memory) if is_cpu else (cpu, up)
+                    batch.append(increased)
+                if share - delta >= floor:
+                    down = max(0.0, share - delta)
+                    reduced = (down, memory) if is_cpu else (cpu, down)
+                    batch.append(reduced)
                 steps.append((increased, reduced))
-            batch = [step for pair in steps for step in pair if step is not None]
-            raw = iter(_evaluate_costs(cost_function, i, batch) if batch else ())
+            costs = iter(cost_function.cost_shares(i, batch) if batch else ())
+            gain_factor, bound, current = gains[i], bounds.get(i), weighted[i]
             tenant_moves: List[_Moves] = []
             for increased, reduced in steps:
-                gain, cost_up = -math.inf, 0.0
+                gain, raw_up = -math.inf, 0.0
                 if increased is not None:
-                    cost_up = gain_factor * next(raw)
-                    gain = weighted[i] - cost_up
-                loss, cost_down = math.inf, 0.0
+                    raw_up = next(costs)
+                    gain = current - gain_factor * raw_up
+                loss, raw_down = math.inf, 0.0
                 if reduced is not None:
-                    raw_down = next(raw)
-                    cost_down = gain_factor * raw_down
+                    raw_down = next(costs)
                     if bound is None or raw_down <= bound:
-                        loss = cost_down - weighted[i]
-                tenant_moves.append((gain, increased, cost_up, loss, reduced, cost_down))
+                        loss = gain_factor * raw_down - current
+                tenant_moves.append((gain, increased, raw_up, loss, reduced, raw_down))
             return tenant_moves
 
         # moves[i][r]: tenant i's moves of resource r from its current
@@ -409,20 +433,20 @@ class GreedyConfigurationEnumerator:
             if best_move is None:
                 break
             r, i_gain, i_lose = best_move
-            _, allocations[i_gain], weighted[i_gain], _, _, _ = moves[i_gain][r]
-            _, _, _, _, allocations[i_lose], weighted[i_lose] = moves[i_lose][r]
+            _, increased, raw[i_gain], _, _, _ = moves[i_gain][r]
+            _, _, _, _, reduced, raw[i_lose] = moves[i_lose][r]
+            allocations[i_gain] = ResourceAllocation(*increased)
+            allocations[i_lose] = ResourceAllocation(*reduced)
+            weighted[i_gain] = gains[i_gain] * raw[i_gain]
+            weighted[i_lose] = gains[i_lose] * raw[i_lose]
             moves[i_gain] = moves[i_lose] = None
 
-        per_costs = tuple(
-            cost_function.cost(i, allocations[i]) for i in range(n)
-        )
+        per_costs = tuple(raw)
         return EnumerationResult(
             allocations=tuple(allocations),
             per_workload_costs=per_costs,
             total_cost=sum(per_costs),
-            weighted_cost=sum(
-                problem.tenant(i).gain_factor * per_costs[i] for i in range(n)
-            ),
+            weighted_cost=sum(gains[i] * per_costs[i] for i in range(n)),
             iterations=iterations,
             cost_calls=cost_function.call_count - calls_before,
         )
@@ -481,7 +505,7 @@ class GreedyConfigurationEnumerator:
                     share = allocations[donor].get(resource)
                     if share - self.delta < self.min_share - _EPSILON:
                         continue
-                    reduced = allocations[donor].shifted(resource, -self.delta)
+                    reduced = _stepped(allocations[donor], resource, -self.delta)
                     if not self._within_degradation_limit(
                         problem, cost_function, full_costs, donor, reduced
                     ):
@@ -496,8 +520,10 @@ class GreedyConfigurationEnumerator:
             if best_move is None:
                 return
             resource, donor = best_move
-            allocations[violator] = allocations[violator].shifted(resource, self.delta)
-            allocations[donor] = allocations[donor].shifted(resource, -self.delta)
+            allocations[violator] = _stepped(
+                allocations[violator], resource, self.delta
+            )
+            allocations[donor] = _stepped(allocations[donor], resource, -self.delta)
 
 
 class ExhaustiveSearch:

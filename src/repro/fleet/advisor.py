@@ -40,9 +40,10 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.advisor import Advisor
 from ..api.builder import ProblemBuilder
+from ..api.cache import _Row
 from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
-from ..core.problem import VirtualizationDesignProblem
+from ..core.problem import ConsolidatedWorkload, VirtualizationDesignProblem
 from ..exceptions import ConfigurationError, OptimizationError, PlacementError
 from ..parallel.backends import BackendSpec, SolveTask, SolverBackend, resolve_backend
 from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
@@ -89,6 +90,83 @@ def _placement_provenance(strategy: Any) -> Optional[Dict[str, Any]]:
     return to_dict()
 
 
+class _Shape:
+    """One hardware shape of a fleet run, as its solves resolve it.
+
+    ``builder`` is the shape's calibrated builder and ``key`` the part of
+    every solve-memo key the shape fixes (:meth:`FleetAdvisor._shape_key`).
+    ``tenants[t]`` is fleet tenant ``t`` materialized by the builder and
+    ``rows[t]`` that workload's row in the inner advisor's cost cache; both
+    stay ``None`` until a solve first needs them.
+    """
+
+    __slots__ = ("builder", "key", "tenants", "rows")
+
+    def __init__(
+        self, builder: ProblemBuilder, key: Tuple[Any, ...], n_tenants: int
+    ) -> None:
+        self.builder = builder
+        self.key = key
+        self.tenants: List[Optional[ConsolidatedWorkload]] = [None] * n_tenants
+        self.rows: List[Optional[_Row]] = [None] * n_tenants
+
+
+class SolveContext:
+    """What one fleet run resolves once for :meth:`FleetAdvisor.solve_machine`.
+
+    Within one fleet problem the calibration overrides, resources and
+    memory knob are fixed, so a machine's hardware shape fixes its builder
+    and the shape part of its solve-memo keys, and a tenant's spec fixes
+    its consolidated workload on that shape and the workload's cost-cache
+    row.  The context keeps each of them from its first use, so a run's
+    fresh per-machine searches only build their design problems.  A
+    :class:`_FleetSolver` holds one per run; a call without one gets a
+    context of its own.
+
+    Under the thread backend, concurrent solves may fill one slot at once.
+    That is safe only because every racer writes the same object: the
+    fleet advisor keeps one builder per shape, a builder hands out one
+    consolidated workload per spec value, and the cost cache one row per
+    workload (across a generational reset the old and the new row both
+    answer correctly, and the next store swaps in the new one).
+    """
+
+    def __init__(self, fleet_advisor: "FleetAdvisor", problem: FleetProblem) -> None:
+        self.fleet_advisor = fleet_advisor
+        self.problem = problem
+        self.specs = [tenant.spec for tenant in problem.tenants]
+        self._by_machine: List[Optional[_Shape]] = [None] * problem.n_machines
+        self._by_key: Dict[Tuple[Any, ...], _Shape] = {}
+
+    def shape(self, machine_index: int) -> _Shape:
+        """Machine ``machine_index``'s shape, shared with its identical twins."""
+        shape = self._by_machine[machine_index]
+        if shape is None:
+            advisor, problem = self.fleet_advisor, self.problem
+            machine = problem.machines[machine_index]
+            key = advisor._shape_key(problem, machine)
+            shape = self._by_key.get(key)
+            if shape is None:
+                builder = advisor._builder_for(machine, problem)
+                shape = self._by_key[key] = _Shape(builder, key, problem.n_tenants)
+            self._by_machine[machine_index] = shape
+        return shape
+
+    def design(
+        self, shape: _Shape, ordered: Tuple[int, ...]
+    ) -> VirtualizationDesignProblem:
+        """The per-machine design problem of the sorted tenant set ``ordered``."""
+        tenants = shape.tenants
+        for index in ordered:
+            if tenants[index] is None:
+                tenants[index] = shape.builder.consolidated(self.specs[index])
+        return VirtualizationDesignProblem(
+            tenants=tuple(tenants[index] for index in ordered),
+            resources=self.problem.resources,
+            fixed_memory_fraction=self.problem.fixed_memory_fraction,
+        )
+
+
 class _FleetSolver:
     """Prices candidate co-locations for one fleet problem.
 
@@ -110,7 +188,11 @@ class _FleetSolver:
     Placement probes are priced once per run: within one fleet problem the
     calibration, resources and memory knob are fixed, so a machine's
     hardware shape and its sorted tenant set determine the solve-memo key,
-    and :attr:`_priced` keeps the cost of every set already asked about.
+    and :attr:`_priced` keeps the cost of every set already asked about;
+    :attr:`_fits` likewise keeps every capacity check's answer.  The run's
+    :class:`SolveContext` resolves each hardware shape's builder and key
+    part, and each tenant's workload and cost-cache row, once, so a fresh
+    search costs only the greedy's arithmetic over cached costs.
     """
 
     def __init__(
@@ -124,10 +206,13 @@ class _FleetSolver:
         self.backend = backend
         self.stats = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
         self._stats_lock = threading.Lock()
+        self.context = SolveContext(fleet_advisor, problem)
         self._hardware_keys = [machine.hardware_key for machine in problem.machines]
         #: Gain-weighted cost (``+inf`` if infeasible) by (hardware shape,
         #: sorted tenant set): every probe this run has already priced.
         self._priced: Dict[Tuple[Any, Tuple[int, ...]], float] = {}
+        #: :meth:`fits`'s answer by (machine, tenant tuple as asked).
+        self._fits: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         # The bound must come from the enumerator that will actually divide
         # the machine: an instance-supplied enumerator may use a coarser
         # min_share than the advisor-level knob, and grid searches quantize
@@ -150,8 +235,18 @@ class _FleetSolver:
     # PlacementSolver surface
     # ------------------------------------------------------------------
     def fits(self, machine_index: int, tenant_indices: Tuple[int, ...]) -> bool:
-        """Capacity check, including the minimum-share tenant bound."""
-        return self.problem.fits(machine_index, tenant_indices, self.max_tenants)
+        """Capacity check, including the minimum-share tenant bound.
+
+        Each (machine, tenant tuple) is checked once per run; the search
+        strategies re-ask the same sets at many nodes.
+        """
+        key = (machine_index, tuple(tenant_indices))
+        answer = self._fits.get(key)
+        if answer is None:
+            answer = self._fits[key] = self.problem.fits(
+                machine_index, tenant_indices, self.max_tenants
+            )
+        return answer
 
     def machine_costs(
         self, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
@@ -200,7 +295,7 @@ class _FleetSolver:
         try:
             with self._span(machine_index, tenant_indices) as span:
                 solved, stats = self.fleet_advisor.solve_machine(
-                    self.problem, machine_index, tenant_indices
+                    self.problem, machine_index, tenant_indices, self.context
                 )
                 span.set_attribute("memo_hit", stats is _MEMO_HIT_STATS)
             self._add_stats(stats)
@@ -228,7 +323,7 @@ class _FleetSolver:
         """
         with self._span(machine_index, tenant_indices) as span:
             solved, stats = self.fleet_advisor.solve_machine(
-                self.problem, machine_index, tenant_indices
+                self.problem, machine_index, tenant_indices, self.context
             )
             report, assembly = self.fleet_advisor.machine_report(solved)
             span.set_attribute("memo_hit", stats is _MEMO_HIT_STATS)
@@ -385,20 +480,32 @@ class FleetAdvisor:
         The trace replayer uses this to materialize each period's
         per-machine problems.
         """
-        machine = problem.machines[machine_index]
-        builder = self._builder_for(machine, problem)
-        return VirtualizationDesignProblem(
-            tenants=tuple(
-                builder.consolidated(problem.tenants[index].spec)
-                for index in sorted(tenant_indices)
-            ),
-            resources=problem.resources,
-            fixed_memory_fraction=problem.fixed_memory_fraction,
-        )
+        context = SolveContext(self, problem)
+        ordered = tuple(sorted(tenant_indices))
+        return context.design(context.shape(machine_index), ordered)
 
     # ------------------------------------------------------------------
     # Memoized per-machine solves (the placement fast path)
     # ------------------------------------------------------------------
+    def _shape_key(self, problem: FleetProblem, machine: Machine) -> Tuple[Any, ...]:
+        """The part of a solve-memo key that a machine's shape fixes in a fleet.
+
+        Hardware shape (+ calibration overrides) and resource knobs; a
+        :class:`SolveContext` computes it once per shape and run.
+        """
+        return (
+            self._builder_key(machine, problem),
+            problem.resources,
+            problem.fixed_memory_fraction,
+        )
+
+    @staticmethod
+    def _set_key(
+        shape_key: Tuple[Any, ...], specs: List[Any], ordered: Tuple[int, ...]
+    ) -> Tuple[Any, ...]:
+        """A solve-memo key from its shape part and the sorted tenant set."""
+        return (shape_key, tuple([specs[index] for index in ordered]))
+
     def _solve_key(
         self, problem: FleetProblem, machine: Machine, ordered: Tuple[int, ...]
     ) -> Tuple[Any, ...]:
@@ -411,19 +518,15 @@ class FleetAdvisor:
         value-equal fleets, therefore share solve results exactly as they
         share cost-cache entries.
         """
-        specs = tuple(problem.tenants[index].spec for index in ordered)
-        return (
-            self._builder_key(machine, problem),
-            specs,
-            problem.resources,
-            problem.fixed_memory_fraction,
-        )
+        specs = [tenant.spec for tenant in problem.tenants]
+        return self._set_key(self._shape_key(problem, machine), specs, ordered)
 
     def solve_machine(
         self,
         problem: FleetProblem,
         machine_index: int,
         tenant_indices: Tuple[int, ...],
+        context: Optional[SolveContext] = None,
     ) -> Tuple[Solved, CostCallStats]:
         """Search one machine's division of a tenant set, via the solve-memo.
 
@@ -436,21 +539,30 @@ class FleetAdvisor:
         memoized too — a repeat ask raises an equivalent
         :class:`~repro.exceptions.OptimizationError` without re-running
         the search.  :meth:`machine_report` turns an entry into a report.
+
+        ``context`` is the run's :class:`SolveContext` for ``problem``; a
+        fleet run passes its own, so every probe reuses what earlier ones
+        resolved.
         """
+        if context is None:
+            context = SolveContext(self, problem)
         ordered = tuple(sorted(tenant_indices))
-        machine = problem.machines[machine_index]
-        key = self._solve_key(problem, machine, ordered)
+        shape = context.shape(machine_index)
+        key = self._set_key(shape.key, context.specs, ordered)
         cached = self.solve_memo.get(key)
         if isinstance(cached, Infeasible):
             raise OptimizationError(cached.message)
         if cached is not None:
             return cached, _MEMO_HIT_STATS
-        design = self.machine_problem(problem, machine_index, ordered)
+        design = context.design(shape, ordered)
+        rows = [shape.rows[index] for index in ordered]
         try:
-            search = self.advisor.search(design)
+            search = self.advisor.search(design, rows)
         except OptimizationError as error:
             self.solve_memo.put(key, Infeasible(str(error)))
             raise
+        for index, row in zip(ordered, rows):
+            shape.rows[index] = row
         weighted = sum(
             tenant.gain_factor * cost
             for tenant, cost in zip(design.tenants, search.result.per_workload_costs)

@@ -753,6 +753,15 @@ class TestAdvisor:
         # The CPU-hungry workload receives the larger share in both.
         assert greedy.tenant("heavy").cpu_share > greedy.tenant("light").cpu_share
 
+    def test_reports_share_one_read_only_provenance(self, scenario_problem):
+        advisor = Advisor(delta=0.25, min_share=0.25)
+        first = advisor.recommend(scenario_problem)
+        second = advisor.recommend(scenario_problem)
+        assert second.provenance is first.provenance
+        with pytest.raises(TypeError):
+            first.provenance.options["delta"] = 0.5
+        assert second.provenance.to_dict()["options"]["delta"] == 0.25
+
     def test_report_json_schema(self, scenario, scenario_problem):
         report = Advisor(**scenario.advisor).recommend(scenario_problem)
         document = json.loads(report.to_json(indent=2))

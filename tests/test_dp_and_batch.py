@@ -303,6 +303,35 @@ class TestGreedyProbeApplyConsistency:
             costs.total_weighted_cost(result.allocations)
         )
 
+    def test_reduction_within_float_noise_of_zero_is_probed_at_zero(
+        self, tpch_sf1_queries, db2_calibration
+    ):
+        """Tenant 1's memory falls from 0.5 in 0.02 steps and lands a hair
+        above zero; the probe of one more reduction is a legal move (it
+        reaches ``min_share = 0``), so it must be priced at share 0 rather
+        than fail to build a share of ``-1.7e-16``."""
+        problem = _problem(
+            tpch_sf1_queries, db2_calibration,
+            gains=(1.0, 1.0), limits=(math.inf, math.inf), resources=(CPU, MEMORY),
+        )
+        params = [(1.0, 50.0, 0.0), (1.0, 0.3, 0.0)]
+        costs = SyntheticCostFunction(problem, params)
+        result = GreedyConfigurationEnumerator(delta=0.02, min_share=0.0).enumerate(
+            problem, costs
+        )
+        problem.validate_allocations(result.allocations)
+        assert all(
+            0.0 <= share <= 1.0
+            for allocation in result.allocations
+            for share in allocation.as_tuple()
+        )
+        assert result.allocations[1].memory_fraction < 0.02
+        report = Advisor(
+            delta=0.02, min_share=0.0, cost_function=SyntheticCostFunction(problem, params)
+        ).recommend(problem)
+        assert report.allocations == result.allocations
+        assert report.recommendation.per_workload_costs == result.per_workload_costs
+
 
 def _reference_greedy(enumerator, problem, cost_function):
     """The greedy loop as it was before probes were reused: every
@@ -441,6 +470,76 @@ class TestGreedyMatchesReprobingLoop:
         assert actual.iterations == expected.iterations
         assert actual_costs.call_count == reference_costs.call_count
         assert actual.cost_calls == expected.cost_calls
+
+
+class TestGreedyPairProbesMatchReference:
+    """Probing moves as share pairs, and keeping each tenant's probed raw
+    cost instead of looking the final allocations up, must not move one
+    float on any grid, cached or not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_same_answer_on_every_grid(self, data, tpch_sf1_queries, db2_calibration):
+        n = data.draw(st.integers(min_value=1, max_value=6), label="tenants")
+        delta = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.25]), label="delta")
+        min_share = data.draw(st.sampled_from([0.05, 0.1]), label="min_share")
+        resources = data.draw(st.sampled_from([(CPU,), (CPU, MEMORY)]), label="resources")
+        gains = data.draw(
+            st.lists(st.floats(1.0, 8.0), min_size=n, max_size=n), label="gains"
+        )
+        if data.draw(st.booleans(), label="limited"):
+            limits = data.draw(
+                st.lists(
+                    st.sampled_from([math.inf, 1.2, 1.5, 2.5]), min_size=n, max_size=n
+                ),
+                label="limits",
+            )
+        else:
+            limits = [math.inf] * n
+        params = data.draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.1, 100.0), st.floats(0.1, 100.0), st.floats(0.0, 10.0)
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            label="params",
+        )
+        problem = _problem(tpch_sf1_queries, db2_calibration, gains, limits, resources)
+        enumerator = GreedyConfigurationEnumerator(delta=delta, min_share=min_share)
+
+        def cached():
+            return CachedCostFunction(
+                problem, SyntheticCostFunction(problem, params), CostCache()
+            )
+
+        def same_answer(actual, expected):
+            assert [a.as_tuple() for a in actual.allocations] == [
+                a.as_tuple() for a in expected.allocations
+            ]
+            assert actual.per_workload_costs == expected.per_workload_costs
+            assert actual.weighted_cost == expected.weighted_cost
+            assert actual.iterations == expected.iterations
+
+        # Through a cache, both loops evaluate exactly the same allocations.
+        reference_costs, actual_costs = cached(), cached()
+        expected = _reference_greedy(enumerator, problem, reference_costs)
+        actual = enumerator.enumerate(problem, actual_costs)
+        same_answer(actual, expected)
+        assert actual_costs.call_count == reference_costs.call_count
+        assert actual.cost_calls == expected.cost_calls
+
+        # A bare cost function counts every evaluation, and the reference
+        # re-probes every tenant on every iteration, so only the answers
+        # are compared.
+        bare = _reference_greedy(
+            enumerator, problem, SyntheticCostFunction(problem, params)
+        )
+        same_answer(
+            enumerator.enumerate(problem, SyntheticCostFunction(problem, params)), bare
+        )
+        same_answer(bare, expected)
 
 
 class TestPlanCacheStatistics:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import Advisor
+from repro.api import Advisor, CostCache, ProblemBuilder
 from repro.api.report import CostCallStats
 from repro.exceptions import ConfigurationError, OptimizationError, PlacementError
 from repro.fleet import (
@@ -394,6 +394,48 @@ class TestPerRunCostTable:
         assert len(assembled) == occupied
         assert report.cost_stats.optimizer_calls > 0
         assert report.cost_stats.plan_cache_hits > 0
+
+    @pytest.mark.parametrize("placement", ["bnb-fleet", "greedy-cost+ls"])
+    def test_cold_run_resolves_each_tenant_once_per_shape(self, placement, monkeypatch):
+        # A run materializes each tenant once per hardware shape and
+        # resolves its cost-cache row once more per shape; only the
+        # committed machines' report assembly resolves rows again.
+        calls = {"consolidated": 0, "row": 0}
+        consolidated, row = ProblemBuilder.consolidated, CostCache.row
+
+        def counting_consolidated(builder, spec):
+            calls["consolidated"] += 1
+            return consolidated(builder, spec)
+
+        def counting_row(cache, namespace, tenant):
+            calls["row"] += 1
+            return row(cache, namespace, tenant)
+
+        priced = []
+        machine_cost = _FleetSolver._machine_cost
+
+        def recording_machine_cost(solver, machine_index, tenant_indices):
+            priced.append((machine_index, tenant_indices))
+            return machine_cost(solver, machine_index, tenant_indices)
+
+        monkeypatch.setattr(ProblemBuilder, "consolidated", counting_consolidated)
+        monkeypatch.setattr(CostCache, "row", counting_row)
+        monkeypatch.setattr(_FleetSolver, "_machine_cost", recording_machine_cost)
+        advisor = FleetAdvisor(delta=0.25)
+        problem = small_fleet(n_tenants=6, n_machines=3)
+        shapes = len({machine.hardware_key for machine in problem.machines})
+        assert shapes == 1
+        advisor.recommend(problem, placement=placement)
+        assert calls["consolidated"] <= shapes * problem.n_tenants
+        assert calls["row"] <= (shapes + 1) * problem.n_tenants
+        # Every priced set is in the solve-memo under the key a later run
+        # asks for, so a warm repeat stays pure memo hits.
+        assert priced
+        for machine_index, tenant_indices in priced:
+            key = advisor._solve_key(
+                problem, problem.machines[machine_index], tuple(sorted(tenant_indices))
+            )
+            assert advisor.solve_memo.get(key) is not None
 
     def test_repeat_asks_dispatch_no_task(self, shared_advisor):
         problem = small_fleet(n_tenants=2, n_machines=2)
