@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.cost_estimator import _CACHE_DECIMALS, CostFunction
+from ..core.cost_estimator import CostFunction, quantize_shares
 from ..core.problem import (
     ConsolidatedWorkload,
     ResourceAllocation,
@@ -45,10 +45,11 @@ from ..exceptions import EstimationError
 #: functions cannot serve a value computed under other parameters.
 _RowKey = Tuple[str, int, int]
 
-#: A row maps (cpu, memory) share pairs to costs.  Shares are rounded
-#: exactly as :func:`~repro.core.cost_estimator.quantize_allocation` rounds
-#: the allocation a cost function evaluates, so a cached value is always
-#: the cost of the quantized allocation its key names.  Share pairs are
+#: A row maps canonical (cpu, memory) share pairs to costs.  A pair is made
+#: canonical by :func:`~repro.core.cost_estimator.quantize_shares`, the
+#: rounding :func:`~repro.core.cost_estimator.quantize_allocation` applies
+#: to the allocation a cost function evaluates, so a cached value is always
+#: the cost of the quantized allocation its key names.  Canonical pairs are
 #: interned across rows (every tenant walks the same grid), so each cached
 #: cost adds one row slot and its value.
 _Shares = Tuple[float, float]
@@ -66,27 +67,35 @@ class CostCache:
     """A memoizing cost cache shareable across problems and phases.
 
     Values live in one *row* per tenant, keyed by :data:`_RowKey` and
-    mapping rounded share pairs to costs.  A :class:`CachedCostFunction`
+    mapping canonical share pairs to costs.  A :class:`CachedCostFunction`
     resolves each of its tenants' rows once (:meth:`row`) and answers a
     hit with one dictionary lookup in the row.
+
+    Raw pairs carry ``±delta`` float noise, and rounding one was the
+    costliest step of a hit, so a *key map* (:meth:`keys`) maps each raw
+    pair the cache has been asked about to its canonical pair; a canonical
+    pair maps to itself, which interns it.  The map holds at most
+    ``max_entries`` pairs and is dropped wholesale when full.
 
     The cache keeps strong references to the workload and calibration
     objects appearing in its row keys so that Python cannot recycle their
     ``id()`` for a different object while the cache is alive.
 
     Memory is bounded by ``max_entries`` via a generational reset: when the
-    bound is reached the rows, the pinned objects *and* the interned share
-    pairs are dropped wholesale (partial eviction would need per-object
-    reference counts to keep the pins sound).  The hit/miss counters
-    survive the reset so in-flight statistics deltas stay monotonic.
+    bound is reached the rows, the pinned objects *and* the key map are
+    dropped wholesale (partial eviction would need per-object reference
+    counts to keep the pins sound).  The hit/miss counters survive the
+    reset so in-flight statistics deltas stay monotonic.
 
-    The cache is thread-safe.  Stores, counter updates, row creation and
-    the generational reset happen under one internal lock, which is never
-    held while a cost is being *evaluated*.  Reading a row takes no lock:
-    a row is a plain dict that only ever gains keys, each stored once with
-    the one cost its key names (costs are pure functions of the key), and
-    a reset drops rows from the cache instead of emptying them.  A
-    lock-free ``row.get`` therefore finds either the right cost or nothing.
+    The cache is thread-safe.  Stores, key-map inserts, counter updates,
+    row creation and the generational reset happen under one internal
+    lock, which is never held while a cost is being *evaluated*.  Reading
+    a row or the key map takes no lock: a row is a plain dict that only
+    ever gains keys, each stored once with the one cost its key names
+    (costs are pure functions of the key), and a reset drops rows from the
+    cache instead of emptying them, so a lock-free ``row.get`` finds
+    either the right cost or nothing; a key-map read likewise finds the
+    one canonical pair or nothing.
     A row dropped by a reset stays readable by whoever resolved it (their
     problem keeps the tenant's objects, and so their ids, alive) but is
     never grown again: :meth:`store` re-resolves it, so ``size`` counts
@@ -100,7 +109,8 @@ class CostCache:
         self._lock = threading.Lock()
         self._rows: Dict[_RowKey, _Row] = {}
         self._pins: Dict[int, object] = {}
-        self._interned: Dict[_Shares, _Shares] = {}
+        #: Raw share pair -> its canonical pair (see :meth:`keys`).
+        self._keys: Dict[_Shares, _Shares] = {}
         self._size = 0
         self.hits = 0
         self.misses = 0
@@ -125,6 +135,32 @@ class CostCache:
             self._pins.setdefault(id(tenant.calibration), tenant.calibration)
         return row
 
+    def keys(self, shares: Sequence[_Shares]) -> List[_Shares]:
+        """The canonical row keys of raw ``(cpu, memory)`` share pairs.
+
+        A pair the key map knows is answered without rounding; the others
+        are rounded by :func:`~repro.core.cost_estimator.quantize_shares`
+        and entered, with their canonical pairs, under the lock.
+        """
+        key_map = self._keys
+        keys = list(map(key_map.get, shares))
+        if None not in keys:
+            return keys
+        fresh = {
+            pair: quantize_shares(*pair)
+            for pair, key in zip(shares, keys)
+            if key is None
+        }
+        with self._lock:
+            for pair, key in fresh.items():
+                # Room for the canonical pair and the raw one.
+                if len(key_map) + 2 > self.max_entries:
+                    key_map.clear()
+                key = fresh[pair] = key_map.setdefault(key, key)
+                if len(key_map) < self.max_entries:
+                    key_map[pair] = key
+        return [fresh[pair] if key is None else key for pair, key in zip(shares, keys)]
+
     def count(self, hits: int, misses: int) -> None:
         """Record ``hits`` lookups answered from a row and ``misses`` not."""
         with self._lock:
@@ -144,28 +180,28 @@ class CostCache:
         generational reset has dropped it since, or one happens while
         storing, the values go to a freshly resolved row, which the caller
         should read from then on.  A share pair another thread stored
-        first keeps its (identical) value.
+        first keeps its (identical) value.  The pairs of ``values`` are
+        stored as given: canonical pairs from :meth:`keys` arrive interned.
         """
         key = (namespace, id(tenant.workload), id(tenant.calibration))
         with self._lock:
             if self._rows.get(key) is not row:
                 row = self._current_row(key, tenant)
-            intern = self._interned.setdefault
             for shares, value in values.items():
                 if shares in row:
                     continue
                 if self._size >= self.max_entries:
                     self._reset()
                     row = self._current_row(key, tenant)
-                row[intern(shares, shares)] = value
+                row[shares] = value
                 self._size += 1
         return row
 
     def _reset(self) -> None:
-        """Drop the rows, the pins and the interned share pairs (lock held)."""
+        """Drop the rows, the pins and the key map (lock held)."""
         self._rows.clear()
         self._pins.clear()
-        self._interned.clear()
+        self._keys.clear()
         self._size = 0
 
     @property
@@ -297,9 +333,10 @@ class CachedCostFunction(CostFunction):
     def _lookup(self, tenant_index: int, shares: Sequence[_Shares]) -> List[float]:
         """Costs of one tenant at share pairs: the one keyed lookup path.
 
-        Keys round each pair as the cost functions quantize it.  Only a
-        miss builds an allocation, from its first pair in the batch, and
-        the wrapped function evaluates the batch's distinct misses at once.
+        Each raw pair is keyed by its canonical pair (:meth:`CostCache.keys`
+        rounds only pairs it has not seen).  Only a miss builds an
+        allocation, from its first pair in the batch, and the wrapped
+        function evaluates the batch's distinct misses at once.
         """
         rows = self._rows
         if not 0 <= tenant_index < len(rows):
@@ -309,10 +346,7 @@ class CachedCostFunction(CostFunction):
             row = rows[tenant_index] = self.cache.row(
                 self._namespace, self.problem.tenant(tenant_index)
             )
-        keys = [
-            (round(cpu, _CACHE_DECIMALS), round(memory, _CACHE_DECIMALS))
-            for cpu, memory in shares
-        ]
+        keys = self.cache.keys(shares)
         values = list(map(row.get, keys))
         if None not in values:
             self.cache.count(len(values), 0)

@@ -134,8 +134,9 @@ class CostCallStats:
         evaluations: underlying cost evaluations actually performed (what-if
             optimizer invocations or simulated runs).
         cache_hits / cache_misses: shared-cache traffic during the run.
-        optimizer_calls: distinct (query, engine configuration) plan
-            optimizations the run forced on the problem's engines.
+        optimizer_calls: plan optimizations the run forced on the
+            problem's engines, one per (query, engine configuration) the
+            engines' plan caches did not hold.
         plan_cache_hits: what-if questions the engines answered from their
             per-configuration plan caches instead of re-optimizing.
         placement_solve_hits: whole per-machine solves (placement probes or

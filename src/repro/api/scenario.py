@@ -197,11 +197,19 @@ class Scenario:
             "calibration",
             _normalize_options(self.calibration, _CALIBRATION_KEYS, "calibration"),
         )
-        object.__setattr__(
-            self,
-            "advisor",
-            _normalize_options(dict(self.advisor), _ADVISOR_KEYS, "advisor") or {},
-        )
+        advisor = _normalize_options(dict(self.advisor), _ADVISOR_KEYS, "advisor") or {}
+        # A zero floor lets a search probe a VM with no CPU at all, which
+        # the what-if estimator cannot price; whether that probe happens
+        # would depend on the document's data, so the option is refused.
+        min_share = advisor.get("min_share")
+        if min_share is not None and not (
+            isinstance(min_share, (int, float)) and min_share > 0
+        ):
+            raise ConfigurationError(
+                f"advisor option min_share must be positive, got {min_share!r}: "
+                f"a VM needs a positive CPU share"
+            )
+        object.__setattr__(self, "advisor", advisor)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -25,6 +25,7 @@ for the workload's native cost, and renormalize it to seconds.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -51,6 +52,11 @@ from .renormalize import RegressionRenormalizer, Renormalizer, ScalarRenormalize
 #: the cost model against tiny negative values produced by solving noisy
 #: calibration equations.
 _MIN_PARAMETER_VALUE = 1e-9
+
+#: Bound on the parameter vectors one calibration remembers.  When full, the
+#: memo is dropped wholesale, the policy of the cost cache; a benchmark run
+#: stays far below it.
+_MAX_PARAMETER_VECTORS = 10_000
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,21 @@ def calibration_environment(
 # Calibration results
 # ----------------------------------------------------------------------
 class EngineCalibration(ABC):
-    """Result of calibrating one engine on one physical machine."""
+    """Result of calibrating one engine on one physical machine.
+
+    A calibration is not mutated once :func:`calibrate_engine` returns it:
+    its fits, engine and memory policy stay as calibrated.  An allocation's
+    optimizer parameters are therefore a pure function of its
+    ``(cpu_share, memory_fraction)`` pair, and
+    :meth:`parameters_for_allocation` builds each pair's immutable vector
+    once (subclasses implement the build, :meth:`_build_parameters`).
+
+    The memo is read without a lock and written under one, within
+    :data:`_MAX_PARAMETER_VECTORS` vectors.  Two threads may build one
+    pair's vector at once; both hold equal vectors and the memo keeps the
+    first, so the race is harmless.  A pair that fails to build (a
+    non-positive CPU share) is not remembered and raises on every call.
+    """
 
     def __init__(
         self,
@@ -158,15 +178,32 @@ class EngineCalibration(ABC):
         #: list of ``(1 / cpu_share, value)`` pairs.  Exposed for the
         #: calibration figures (Figs. 5–8).
         self.samples: Dict[str, List[Tuple[float, float]]] = {}
+        self._parameters: Dict[Tuple[float, float], EngineConfiguration] = {}
+        self._parameters_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # The what-if interface used by the advisor's cost estimator
     # ------------------------------------------------------------------
-    @abstractmethod
     def parameters_for_allocation(
         self, cpu_share: float, memory_fraction: float
     ) -> EngineConfiguration:
         """Optimizer parameters corresponding to a candidate allocation."""
+        key = (cpu_share, memory_fraction)
+        memo = self._parameters
+        parameters = memo.get(key)
+        if parameters is None:
+            parameters = self._build_parameters(cpu_share, memory_fraction)
+            with self._parameters_lock:
+                if len(memo) >= _MAX_PARAMETER_VECTORS:
+                    memo.clear()
+                parameters = memo.setdefault(key, parameters)
+        return parameters
+
+    @abstractmethod
+    def _build_parameters(
+        self, cpu_share: float, memory_fraction: float
+    ) -> EngineConfiguration:
+        """Build the optimizer parameters of an allocation (uncached)."""
 
     def dbms_memory_mb(self, memory_fraction: float) -> float:
         """Memory available to the DBMS under a candidate memory allocation."""
@@ -192,27 +229,20 @@ class EngineCalibration(ABC):
         """Estimated costs of one workload under many allocations.
 
         ``allocations`` is an iterable of ``(cpu_share, memory_fraction)``
-        pairs.  The statement list is materialized once and the optimizer
-        parameter vector is built once per distinct allocation; plans are
+        pairs.  The statement list is materialized once; plans are
         optimized once per distinct engine configuration and reused across
         allocations through the engine's plan cache, so building a whole
         cost table costs one optimizer call per (statement, configuration)
         pair instead of one per (statement, grid point).
         """
         statements = list(statements)
-        configurations: Dict[Tuple[float, float], EngineConfiguration] = {}
-        results: List[float] = []
-        for cpu_share, memory_fraction in allocations:
-            key = (cpu_share, memory_fraction)
-            configuration = configurations.get(key)
-            if configuration is None:
-                configuration = self.parameters_for_allocation(
-                    cpu_share, memory_fraction
-                )
-                configurations[key] = configuration
-            native = self.engine.estimate_statements(statements, configuration)
-            results.append(self.renormalizer.to_seconds(native))
-        return results
+        parameters = self.parameters_for_allocation
+        estimate = self.engine.estimate_statements
+        to_seconds = self.renormalizer.to_seconds
+        return [
+            to_seconds(estimate(statements, parameters(cpu_share, memory_fraction)))
+            for cpu_share, memory_fraction in allocations
+        ]
 
     def estimate_query_seconds(
         self, query: QuerySpec, cpu_share: float, memory_fraction: float
@@ -256,7 +286,7 @@ class PostgreSQLCalibration(EngineCalibration):
         self.cpu_index_tuple_cost_fit = cpu_index_tuple_cost_fit
         self.random_page_cost = random_page_cost
 
-    def parameters_for_allocation(
+    def _build_parameters(
         self, cpu_share: float, memory_fraction: float
     ) -> PostgreSQLParameters:
         if cpu_share <= 0:
@@ -300,7 +330,7 @@ class DB2Calibration(EngineCalibration):
         self.overhead_ms = overhead_ms
         self.transfer_rate_ms = transfer_rate_ms
 
-    def parameters_for_allocation(
+    def _build_parameters(
         self, cpu_share: float, memory_fraction: float
     ) -> DB2Parameters:
         if cpu_share <= 0:

@@ -36,6 +36,15 @@ from .problem import ResourceAllocation, VirtualizationDesignProblem
 _CACHE_DECIMALS = 6
 
 
+def quantize_shares(cpu_share: float, memory_fraction: float) -> Tuple[float, float]:
+    """A ``(cpu, memory)`` share pair rounded to cache-key precision.
+
+    The one rounding rule: :func:`quantize_allocation` and the cost cache's
+    keys (:class:`repro.api.cache.CostCache`) both round through it.
+    """
+    return round(cpu_share, _CACHE_DECIMALS), round(memory_fraction, _CACHE_DECIMALS)
+
+
 def quantize_allocation(allocation: ResourceAllocation) -> ResourceAllocation:
     """The allocation rounded to cache-key precision.
 
@@ -48,8 +57,7 @@ def quantize_allocation(allocation: ResourceAllocation) -> ResourceAllocation:
     or on which parallel solver backend ran it.  Quantizing at the
     evaluation boundary makes cached and uncached runs bit-identical.
     """
-    cpu = round(allocation.cpu_share, _CACHE_DECIMALS)
-    memory = round(allocation.memory_fraction, _CACHE_DECIMALS)
+    cpu, memory = quantize_shares(allocation.cpu_share, allocation.memory_fraction)
     if cpu == allocation.cpu_share and memory == allocation.memory_fraction:
         return allocation
     return ResourceAllocation(cpu_share=cpu, memory_fraction=memory)

@@ -20,6 +20,7 @@ separation between cost estimation (optimizer calls only) and measurement.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -34,6 +35,12 @@ from .planner import Planner
 from .query import QuerySpec
 
 
+#: Bound on the plans one engine caches.  When full, the plan cache is
+#: dropped wholesale (the planner's operator memo policy); a benchmark run
+#: stays far below it, and a long-lived service cannot grow without limit.
+_MAX_CACHED_PLANS = 100_000
+
+
 class EngineConfiguration:
     """Optimizer parameter vector ``P_i`` of one engine.
 
@@ -45,7 +52,12 @@ class EngineConfiguration:
 
     Being frozen dataclasses makes them hashable, so they can be used as
     cache keys for plan/cost caching (the optimization Section 4.5 of the
-    paper suggests for the greedy search).
+    paper suggests for the greedy search).  Only the two memory parameters
+    shape the operators a plan is built from (they form its
+    :class:`~repro.dbms.plans.PlanBuildContext`); the descriptive CPU and
+    I/O parameters only weight the operators' usage when the optimizer
+    chooses among them.  Configurations that differ only in CPU parameters
+    therefore get plans built from the same, shared operator nodes.
     """
 
     work_mem_mb: float
@@ -91,6 +103,8 @@ class DatabaseEngine(ABC):
         self.planner = Planner(database)
         self._plan_cache: Dict[Tuple[str, EngineConfiguration], Tuple[QueryPlan, float]] = {}
         self._plan_cache_hits = 0
+        self._optimizer_calls = 0
+        self._plan_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Abstract engine-specific pieces
@@ -141,23 +155,36 @@ class DatabaseEngine(ABC):
     def estimate_query(
         self, query: QuerySpec, configuration: EngineConfiguration
     ) -> Tuple[QueryPlan, float]:
-        """What-if call: plan and native-unit cost under ``configuration``."""
+        """What-if call: plan and native-unit cost under ``configuration``.
+
+        Answers are cached per ``(query, configuration)``.  The cache is
+        read without a lock and written under one, which keeps it within
+        :data:`_MAX_CACHED_PLANS` plans (it is dropped wholesale when full).
+        Two threads may optimize the same key at once: both build equal
+        answers, the cache keeps the first, and only that one is counted.
+        """
         if query.database != self.database.name:
             raise EstimationError(
                 f"query {query.name!r} targets database {query.database!r}, but this "
                 f"{self.name} instance hosts {self.database.name!r}"
             )
         key = (query.name, configuration)
-        cached = self._plan_cache.get(key)
+        plan_cache = self._plan_cache
+        cached = plan_cache.get(key)
         if cached is not None:
             self._plan_cache_hits += 1
             return cached
         cost_model = self.make_cost_model(configuration)
         context = self.build_context(query, configuration)
         plan = self.planner.build_plan(query, context, cost_model)
-        cost = cost_model.plan_cost(plan.usage)
-        self._plan_cache[key] = (plan, cost)
-        return plan, cost
+        answer = (plan, cost_model.plan_cost(plan.usage))
+        with self._plan_cache_lock:
+            if len(plan_cache) >= _MAX_CACHED_PLANS:
+                plan_cache.clear()
+            kept = plan_cache.setdefault(key, answer)
+            if kept is answer:
+                self._optimizer_calls += 1
+        return kept
 
     def estimate_statements(
         self,
@@ -176,16 +203,23 @@ class DatabaseEngine(ABC):
         return total
 
     def optimizer_call_count(self) -> int:
-        """Number of distinct (query, configuration) optimizer calls so far."""
-        return len(self._plan_cache)
+        """What-if calls that ran the optimizer (monotonic counter).
+
+        Each counted call cached a new ``(query, configuration)`` plan, so
+        until the plan cache first fills this equals the number of plans
+        cached; unlike that number it never falls when the cache is dropped.
+        """
+        return self._optimizer_calls
 
     def plan_cache_hit_count(self) -> int:
         """What-if calls answered from the plan cache (monotonic counter)."""
         return self._plan_cache_hits
 
     def clear_plan_cache(self) -> None:
-        """Drop all cached plans and costs."""
-        self._plan_cache.clear()
+        """Drop all cached plans and costs, and zero the optimizer-call count."""
+        with self._plan_cache_lock:
+            self._plan_cache.clear()
+            self._optimizer_calls = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(database={self.database.name!r})"

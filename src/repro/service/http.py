@@ -28,7 +28,9 @@ connection's own thread: parse, solve through the shared
 admission bound: however many connection threads pile up, at most that
 many solves run at once, while ``GET`` endpoints never wait for a slot.
 Responses go out with Nagle's algorithm off, so a keep-alive client is
-not stalled waiting for its own delayed ACK of the response headers.
+not stalled waiting for its own delayed ACK of the response headers.  A
+connection that sits idle, or stalls mid-request, for the handler's
+``timeout`` (60 s) is closed without an answer, freeing its thread.
 
 Errors map to JSON bodies: malformed documents are ``400 {"error": ...}``
 (:class:`~repro.exceptions.ReproError`, bad JSON, an invalid
@@ -66,6 +68,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 class _BodyTooLarge(Exception):
     """A declared request body over :data:`MAX_BODY_BYTES` (answered 413)."""
+
+
+class _BodyTimedOut(Exception):
+    """A request body that stalled past the handler's ``timeout`` (closed unanswered)."""
 
 
 class AdvisorHTTPServer(ThreadingHTTPServer):
@@ -121,6 +127,10 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
     # Headers and body go out as two sends; with Nagle on, the body waits
     # for the client's delayed ACK of the headers (~40 ms per response).
     disable_nagle_algorithm = True
+    #: Seconds a connection may sit idle, or stall mid-request, before the
+    #: server closes it, so a silent client cannot pin a handler thread.
+    #: Keep-alive clients idle far less between requests.
+    timeout = 60.0
 
     # ------------------------------------------------------------------
     # Routing
@@ -210,6 +220,8 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         except _BodyTooLarge as error:
             self._send(413, {"error": str(error)})
             return
+        except _BodyTimedOut:
+            return
         except (ReproError, json.JSONDecodeError, UnicodeDecodeError) as error:
             self._send(400, {"error": str(error)})
             return
@@ -238,8 +250,13 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
             )
         if length == 0:
             raise json.JSONDecodeError("empty request body", "", 0)
-        body = self.rfile.read(length).decode("utf-8")
-        return json.loads(body)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            # A body that stopped arriving: no answer, just close.
+            self.close_connection = True
+            raise _BodyTimedOut() from None
+        return json.loads(body.decode("utf-8"))
 
     def _send(self, status: int, payload: Dict[str, Any]) -> None:
         self._send_bytes(status, json.dumps(payload).encode("utf-8"), "application/json")

@@ -219,6 +219,15 @@ class TestScenario:
                 {"tenants": [{"name": "t", "statements": [{"frequency": 1.0}]}]}
             )
 
+    @pytest.mark.parametrize("min_share", [0, 0.0, -0.1, "0.1"])
+    def test_nonpositive_min_share_is_rejected(self, min_share):
+        # A VM needs a positive CPU share; whether a zero floor is ever
+        # probed depends on the document's data, so the option is refused.
+        document = copy.deepcopy(SCENARIO_DICT)
+        document["advisor"]["min_share"] = min_share
+        with pytest.raises(ConfigurationError, match="min_share"):
+            Scenario.from_dict(document)
+
     def test_duplicate_tenant_names_are_rejected(self):
         tenants = [dict(tenant, name="a") for tenant in SCENARIO_DICT["tenants"]]
         with pytest.raises(ConfigurationError, match="duplicate tenant name.*'a'"):
@@ -544,15 +553,22 @@ class TestCostCache:
         # reset keep answering from those rows after it; their stores go to
         # re-resolved rows, so no thread grows a dropped row past the
         # bound.  Eight threads, a key space five times the bound, and a
-        # tiny switch interval make resets land between every step.
+        # tiny switch interval make resets land between every step.  Half
+        # the asks carry float noise below the key precision: they must get
+        # exactly the cost of the pair they round to, while the map from
+        # raw pairs to keys stays within the bound too.
         import sys
         import threading
         from types import SimpleNamespace
 
+        from repro.core.cost_estimator import quantize_allocation
         from repro.core.problem import ResourceAllocation
 
         class Estimator:
-            """A deterministic stand-in for the what-if estimator."""
+            """A deterministic stand-in for the what-if estimator.
+
+            Like every cost function, it prices the quantized allocation.
+            """
 
             cache_namespace = "stub"
 
@@ -561,6 +577,7 @@ class TestCostCache:
 
             @staticmethod
             def value(index, allocation):
+                allocation = quantize_allocation(allocation)
                 return 10.0 * index + allocation.cpu_share + allocation.memory_fraction
 
             def cost(self, index, allocation):
@@ -579,6 +596,13 @@ class TestCostCache:
         allocations = [
             ResourceAllocation(cpu_share=0.05 * step, memory_fraction=0.5)
             for step in range(1, 21)
+        ]
+        noisy = [
+            ResourceAllocation(
+                cpu_share=allocation.cpu_share - 3e-12,
+                memory_fraction=allocation.memory_fraction + 2e-12,
+            )
+            for allocation in allocations
         ]
 
         # Deterministically first: a store through a row dropped by a
@@ -612,13 +636,15 @@ class TestCostCache:
                 for step in range(rounds):
                     index = (seed + step) % len(tenants)
                     start = (seed * 3 + step) % (len(allocations) - batch)
-                    chosen = allocations[start : start + batch]
+                    grid = noisy if (seed + step) % 2 else allocations
+                    chosen = grid[start : start + batch]
                     assert costs.cost_many(index, chosen) == [
                         Estimator.value(index, allocation) for allocation in chosen
                     ]
                     assert costs.cost(index, chosen[0]) == Estimator.value(index, chosen[0])
                     lookups[seed] += batch + 1
                     assert cache.size <= cache.max_entries
+                    assert len(cache._keys) <= cache.max_entries
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -639,6 +665,11 @@ class TestCostCache:
         assert not errors
         assert cache.hits + cache.misses == sum(lookups)
         assert cache.size <= cache.max_entries
+        assert len(cache._keys) <= cache.max_entries
+        # A noisy ask and the clean one share one canonical key.
+        assert cache.keys([(noisy[2].cpu_share, noisy[2].memory_fraction)]) == [
+            (0.15, 0.5)
+        ]
 
     def test_concurrent_memos_hand_out_one_object_per_key(self, fast_calibration):
         # Companion regression test to the CostCache one, for what the
@@ -718,6 +749,37 @@ class TestAdvisor:
         assert second.cost_stats.cache_hits > 0
         assert second.recommendation.cost_calls == 0
         assert second.allocations == first.allocations
+
+    def test_warm_repeat_rounds_no_key_and_builds_no_parameters(
+        self, scenario, scenario_problem, monkeypatch
+    ):
+        # A repeat asks only about share pairs the cache's key map has
+        # seen, at allocations whose parameter vectors are memoized.
+        from repro.api import cache as cache_module
+        from repro.calibration.calibrator import DB2Calibration, PostgreSQLCalibration
+
+        advisor = Advisor(**scenario.advisor)
+        first = advisor.recommend(scenario_problem)
+        calls = {"rounded": 0, "built": 0}
+        quantize = cache_module.quantize_shares
+
+        def counting_quantize(cpu, memory):
+            calls["rounded"] += 1
+            return quantize(cpu, memory)
+
+        monkeypatch.setattr(cache_module, "quantize_shares", counting_quantize)
+        for calibration_type in (DB2Calibration, PostgreSQLCalibration):
+            build = calibration_type._build_parameters
+
+            def counting_build(calibration, cpu, memory, build=build):
+                calls["built"] += 1
+                return build(calibration, cpu, memory)
+
+            monkeypatch.setattr(calibration_type, "_build_parameters", counting_build)
+        repeat = advisor.recommend(scenario_problem)
+        assert repeat.canonical_dict() == first.canonical_dict()
+        assert repeat.cost_stats.cache_hits > 0
+        assert calls == {"rounded": 0, "built": 0}
 
     def test_recommend_does_not_retain_the_problem(self, scenario, scenario_problem):
         # The shared cache pins workloads and calibrations, never the

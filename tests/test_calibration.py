@@ -1,7 +1,11 @@
 """Tests for regression utilities, probes, renormalization, and calibration."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.calibration import calibrator as calibrator_module
 from repro.calibration.calibrator import (
     CalibrationSettings,
     DB2Calibration,
@@ -22,6 +26,9 @@ from repro.calibration.regression import (
     solve_linear_system,
 )
 from repro.calibration.renormalize import RegressionRenormalizer, ScalarRenormalizer
+from repro.dbms import interface as interface_module
+from repro.dbms import planner as planner_module
+from repro.dbms.db2 import DB2Engine
 from repro.exceptions import CalibrationError
 from repro.virt.hypervisor import Hypervisor
 
@@ -243,3 +250,82 @@ class TestCalibrationProcedure:
             for fraction in (0.1, 0.3, 0.5, 0.7, 0.9)
         }
         assert len(signatures) >= 1  # defined for every allocation
+
+
+class TestParameterMemo:
+    def test_a_repeated_pair_returns_one_vector(self, db2_calibration):
+        first = db2_calibration.parameters_for_allocation(0.35, 0.45)
+        assert db2_calibration.parameters_for_allocation(0.35, 0.45) is first
+
+    @pytest.mark.parametrize("cpu_share", [0.0, -0.5])
+    def test_nonpositive_cpu_share_raises_on_every_call(self, db2_calibration,
+                                                         cpu_share):
+        for _ in range(2):
+            with pytest.raises(CalibrationError, match="cpu_share must be positive"):
+                db2_calibration.parameters_for_allocation(cpu_share, 0.5)
+        assert (cpu_share, 0.5) not in db2_calibration._parameters
+
+    def test_concurrent_estimates_match_serial_and_stay_bounded(
+        self, machine, tpch_sf1, tpch_sf1_queries, monkeypatch
+    ):
+        # Eight threads share one calibration, its engine's plan cache and
+        # its planner's operator memo, with bounds small enough that all
+        # three are dropped over and over, and a tiny switch interval so
+        # threads interleave inside the builds.  Every answer must equal
+        # the serial one, and no memo may outgrow its bound.
+        calibration = calibrate_engine(
+            DB2Engine(tpch_sf1), machine, CalibrationSettings(cpu_shares=(0.5, 1.0))
+        )
+        engine = calibration.engine
+        statements = [(tpch_sf1_queries[name], 1.0) for name in ("q1", "q3", "q6", "q18")]
+        pairs = [
+            (cpu, memory) for cpu in (0.2, 0.4, 0.6, 0.8, 1.0) for memory in (0.25, 0.5, 1.0)
+        ]
+        expected = dict(zip(pairs, calibration.estimate_workload_seconds_many(statements, pairs)))
+        calibration._parameters.clear()
+        engine.planner._operators.clear()
+        engine.clear_plan_cache()
+        bounds = {"parameters": 4, "operators": 16, "plans": 8}
+        monkeypatch.setattr(calibrator_module, "_MAX_PARAMETER_VECTORS", bounds["parameters"])
+        monkeypatch.setattr(planner_module, "_MAX_OPERATOR_ENTRIES", bounds["operators"])
+        monkeypatch.setattr(interface_module, "_MAX_CACHED_PLANS", bounds["plans"])
+
+        def sizes():
+            return {
+                "parameters": len(calibration._parameters),
+                "operators": len(engine.planner._operators),
+                "plans": len(engine._plan_cache),
+            }
+
+        n_threads, rounds, batch = 8, 12, 4
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def worker(seed):
+            try:
+                barrier.wait(timeout=30)
+                for step in range(rounds):
+                    start = (seed * 5 + step) % (len(pairs) - batch)
+                    chosen = pairs[start : start + batch]
+                    assert calibration.estimate_workload_seconds_many(
+                        statements, chosen
+                    ) == [expected[pair] for pair in chosen]
+                    assert all(size <= bounds[name] for name, size in sizes().items())
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(index,)) for index in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(size <= bounds[name] for name, size in sizes().items())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dbms import interface
 from repro.dbms.db2 import DB2CostModel, DB2Engine, DB2Parameters
 from repro.dbms.db2.cost_model import TIMERON_MILLISECONDS
 from repro.dbms.plans import ResourceUsage
@@ -159,3 +160,30 @@ class TestEngines:
         pg_engine.estimate_query(tpch_sf1_queries["q6"], config)
         pg_engine.clear_plan_cache()
         assert pg_engine.optimizer_call_count() == 0
+
+    def test_plan_cache_is_bounded_with_a_monotonic_call_count(
+        self, db2_calibration, tpch_sf1, tpch_sf1_queries, monkeypatch
+    ):
+        # A full plan cache is dropped wholesale: answers are unchanged,
+        # the cache stays within its bound, and the optimizer-call count
+        # (what CostCallStats reports deltas of) never goes down.
+        monkeypatch.setattr(interface, "_MAX_CACHED_PLANS", 3)
+        engine = DB2Engine(tpch_sf1)
+        counts = [engine.optimizer_call_count()]
+        for _ in range(2):
+            for name in ("q1", "q6", "q18"):
+                for cpu in (0.25, 0.5, 1.0):
+                    query = tpch_sf1_queries[name]
+                    config = db2_calibration.parameters_for_allocation(cpu, 0.5)
+                    plan, cost = engine.estimate_query(query, config)
+                    fresh_plan, fresh_cost = DB2Engine(tpch_sf1).estimate_query(
+                        query, config
+                    )
+                    assert plan.signature == fresh_plan.signature
+                    assert plan.usage == fresh_plan.usage
+                    assert cost == fresh_cost
+                    assert len(engine._plan_cache) <= 3
+                    counts.append(engine.optimizer_call_count())
+        assert counts == sorted(counts)
+        # The drops forced the second pass to optimize every plan again.
+        assert counts[-1] == 18

@@ -437,6 +437,42 @@ class TestPerRunCostTable:
             )
             assert advisor.solve_memo.get(key) is not None
 
+    def test_cold_run_builds_each_parameter_vector_once(self, monkeypatch):
+        # The greedy asks its calibrations for the optimizer parameters of
+        # every allocation it prices, many times over; each calibration
+        # builds a (cpu, memory) pair's vector once and hands it out after.
+        from repro.calibration.calibrator import (
+            DB2Calibration,
+            EngineCalibration,
+            PostgreSQLCalibration,
+        )
+
+        asked, built = set(), []
+        parameters_for_allocation = EngineCalibration.parameters_for_allocation
+
+        def recording_parameters(calibration, cpu, memory):
+            asked.add((calibration, cpu, memory))
+            return parameters_for_allocation(calibration, cpu, memory)
+
+        monkeypatch.setattr(
+            EngineCalibration, "parameters_for_allocation", recording_parameters
+        )
+        for calibration_type in (DB2Calibration, PostgreSQLCalibration):
+            build = calibration_type._build_parameters
+
+            def recording_build(calibration, cpu, memory, build=build):
+                built.append((calibration, cpu, memory))
+                return build(calibration, cpu, memory)
+
+            monkeypatch.setattr(calibration_type, "_build_parameters", recording_build)
+        advisor = FleetAdvisor(delta=0.25)  # calibrates afresh: a cold run
+        report = advisor.recommend(
+            small_fleet(n_tenants=6, n_machines=3), placement="greedy-cost+ls"
+        )
+        assert report.cost_stats.evaluations > len(built) > 0
+        assert len(set(built)) == len(built)
+        assert set(built) == asked
+
     def test_repeat_asks_dispatch_no_task(self, shared_advisor):
         problem = small_fleet(n_tenants=2, n_machines=2)
         assert (

@@ -1,14 +1,22 @@
 """Tests for the cost-based planner."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.dbms import planner as planner_module
 from repro.dbms.catalog import Database
-from repro.dbms.plans import PlanBuildContext
+from repro.dbms.db2 import DB2Engine
+from repro.dbms.plans import PlanBuildContext, PlanNode
 from repro.dbms.planner import Planner
+from repro.dbms.postgres import PostgreSQLEngine
 from repro.dbms.postgres.cost_model import PostgreSQLCostModel
 from repro.dbms.postgres.params import PostgreSQLParameters
 from repro.dbms.query import AggregateSpec, JoinStep, QuerySpec, TableAccess
 from repro.exceptions import OptimizationError
+from repro.workloads.tpch import TPCH_QUERY_NAMES
 
 
 @pytest.fixture()
@@ -147,3 +155,94 @@ class TestMemoryDependentPlans:
         )
         plan = planner.build_plan(query, build_context(database), cost_model())
         assert plan.signature.startswith("Update(")
+
+
+class TestOperatorMemo:
+    """Operators are built once per memory setting and shared across CPU settings."""
+
+    @pytest.fixture(scope="class")
+    def memoizing_engines(self, tpch_sf1):
+        # Dedicated engines whose memos persist across hypothesis examples.
+        return {"postgresql": PostgreSQLEngine(tpch_sf1), "db2": DB2Engine(tpch_sf1)}
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["postgresql", "db2"]),
+                st.sampled_from(TPCH_QUERY_NAMES),
+                st.sampled_from([0.1, 0.25, 0.4, 0.5, 0.75, 1.0]),
+                st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        drop_before=st.integers(min_value=0, max_value=12),
+        bound=st.sampled_from([4, 64, None]),
+    )
+    def test_memoized_plans_equal_fresh_plans(
+        self,
+        memoizing_engines,
+        pg_calibration,
+        db2_calibration,
+        tpch_sf1_queries,
+        steps,
+        drop_before,
+        bound,
+    ):
+        # A long-lived engine answers every (query, configuration) exactly
+        # as an engine that has never planned anything: same plan shape,
+        # same usage, same cost, bit for bit.  The forced drop before step
+        # ``drop_before`` and the drawn memo bound make the long-lived
+        # engine rebuild operators mid-sequence.
+        calibrations = {"postgresql": pg_calibration, "db2": db2_calibration}
+        bound = planner_module._MAX_OPERATOR_ENTRIES if bound is None else bound
+        with mock.patch.object(planner_module, "_MAX_OPERATOR_ENTRIES", bound):
+            for index, (kind, name, cpu, memory) in enumerate(steps):
+                engine = memoizing_engines[kind]
+                if index == drop_before:
+                    engine.planner._operators.clear()
+                    engine.clear_plan_cache()
+                query = tpch_sf1_queries[name]
+                configuration = calibrations[kind].parameters_for_allocation(cpu, memory)
+                plan, cost = engine.estimate_query(query, configuration)
+                fresh = type(engine)(engine.database, memory_policy=engine.memory_policy)
+                fresh_plan, fresh_cost = fresh.estimate_query(query, configuration)
+                assert plan.signature == fresh_plan.signature
+                assert plan.usage == fresh_plan.usage
+                assert cost == fresh_cost
+
+    def test_one_memory_setting_builds_each_operator_once(
+        self, pg_calibration, tpch_sf1, tpch_sf1_queries, monkeypatch
+    ):
+        # K configurations that differ only in their CPU parameters are K
+        # optimizer calls but one set of operators: CPU parameters only
+        # reweight the same candidate nodes.
+        built = []
+        construct = PlanNode.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            construct(node, *args, **kwargs)
+
+        monkeypatch.setattr(PlanNode, "__init__", counting_init)
+        engine = PostgreSQLEngine(tpch_sf1)
+        query = tpch_sf1_queries["q18"]
+        configurations = [
+            pg_calibration.parameters_for_allocation(cpu, 0.5)
+            for cpu in (0.2, 0.4, 0.6, 0.8, 1.0)
+        ]
+        assert len(set(configurations)) == len(configurations)
+        assert len({(c.work_mem_mb, c.cache_mb) for c in configurations}) == 1
+
+        engine.estimate_query(query, configurations[0])
+        once = len(built)
+        for configuration in configurations[1:]:
+            engine.estimate_query(query, configuration)
+        assert once > 0
+        assert len(built) == once
+        assert engine.optimizer_call_count() == len(configurations)

@@ -35,7 +35,7 @@ from repro.exceptions import ConfigurationError
 from repro.fleet import FleetAdvisor, FleetProblem
 from repro.fleet.report import FleetReport
 from repro.service import AdvisorHTTPServer, AdvisorService, AsyncAdvisorService
-from repro.service.http import MAX_BODY_BYTES
+from repro.service.http import MAX_BODY_BYTES, AdvisorRequestHandler
 from repro.traces import FleetTraceReplayer, TraceReplayer, WorkloadTrace
 from repro.traces.replay import ReplayReport
 
@@ -488,6 +488,35 @@ class TestHTTPServer:
         code, body = error_of(lambda: post(server, "/recommend", document))
         assert code == 400 and "frequency" in body["error"]
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"delta": 0.25},
+            {"delta": 0.1},
+            {"delta": 0.05},
+            {"enumerator": "exhaustive-dp", "delta": 0.25},
+        ],
+        ids=["greedy-0.25", "greedy-0.1", "greedy-0.05", "exhaustive-dp-0.25"],
+    )
+    def test_zero_min_share_is_400_naming_it(self, server, options):
+        # Whether a zero floor makes a search probe a VM with no CPU
+        # depends on the data (the greedy at delta 0.05 never reached one
+        # here), so every such document is refused at the boundary.
+        document = {
+            "name": "zero-floor",
+            "resources": ["cpu"],
+            "calibration": FAST_CALIBRATION,
+            "advisor": {**options, "min_share": 0},
+            "tenants": [
+                {"name": "big", "engine": "db2", "statements": [["q1", 5.0]]},
+                {"name": "small", "engine": "db2", "statements": [["q6", 0.1]]},
+            ],
+        }
+        code, body = error_of(lambda: post(server, "/recommend", document))
+        assert code == 400
+        assert "min_share" in body["error"]
+        assert "positive CPU share" in body["error"]
+
     def test_duplicate_tenant_names_are_400(self, server):
         document = copy.deepcopy(SCENARIO)
         document["tenants"][1]["name"] = document["tenants"][0]["name"]
@@ -652,6 +681,50 @@ class TestAdmissionBound:
         # A zero-slot semaphore would block every POST forever.
         with pytest.raises(ConfigurationError):
             AdvisorHTTPServer(("127.0.0.1", 0), max_concurrency=0)
+
+
+class TestIdleConnections:
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /recommend HTTP/1.1\r\nHost: x\r\nContent-Le",
+            b"POST /recommend HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{",
+        ],
+        ids=["partial-head", "partial-body"],
+    )
+    def test_stalled_request_is_closed_and_frees_its_thread(self, partial, monkeypatch):
+        # A client that sends half a request and goes silent must not hold
+        # a handler thread for longer than the handler's timeout, which is
+        # on by default and long enough for keep-alive clients.
+        assert 10.0 <= AdvisorRequestHandler.timeout <= 300.0
+        monkeypatch.setattr(AdvisorRequestHandler, "timeout", 0.5)
+        server = AdvisorHTTPServer(("127.0.0.1", 0), service=AdvisorService(**ADVISOR_OPTIONS))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        sock = None
+        try:
+            baseline = threading.active_count()
+            sock = socket.create_connection(server.server_address[:2], timeout=10)
+            sock.sendall(partial)
+            started = time.monotonic()
+            try:
+                received = sock.recv(4096)
+            except ConnectionResetError:
+                received = b""
+            assert received == b""  # closed, unanswered
+            assert time.monotonic() - started < 5.0
+            deadline = time.monotonic() + 10.0
+            while threading.active_count() > baseline and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert threading.active_count() <= baseline
+            assert get(server, "/healthz")[0] == 200
+        finally:
+            if sock is not None:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
