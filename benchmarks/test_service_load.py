@@ -7,7 +7,7 @@ a few seconds must complete every scheduled request with zero errors and
 sustain a minimum successful throughput — the same floor a capacity plan
 derived from ``python -m repro loadgen --sweep`` would assume as its
 bottom step.  The document is the small warm-path scenario (repeats hit
-the pooled builder and cost caches), so what is measured is the HTTP +
+the pooled builder and cost cache), so what is measured is the HTTP +
 dispatch + cache-lookup path, not solver throughput.
 
 Wired into the CI benchmark-smoke job with a wall-clock ceiling like the

@@ -217,7 +217,7 @@ def main() -> int:
               f"server p95={window['p95_seconds']:.4f}s")
 
         stats = get(base + "/stats")
-        assert stats["schema_version"] == 3, stats
+        assert stats["schema_version"] == 4, stats
         assert stats["requests"]["fleet"] == 1, stats
         assert stats["requests"]["recommend"] == report.completed, stats
         assert stats["in_flight"] == 0, stats

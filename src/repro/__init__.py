@@ -28,7 +28,7 @@ The package provides:
   independent per-machine solves out while returning the serial answer
   bit for bit (:mod:`repro.parallel`),
 * the serving tier — :class:`~repro.service.AdvisorService` hosting the
-  advisor for concurrent callers over one process-wide cost-cache pool,
+  advisor for concurrent callers over one process-wide cost cache,
   and the stdlib-only HTTP server behind ``python -m repro serve``
   (:mod:`repro.service`), and
 * the experiment harness reproducing every figure of the paper's evaluation

@@ -28,25 +28,20 @@ repeated fleet recommendation evaluates nothing new.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from ..core.advisor import Recommendation
 from ..core.dynamic import DynamicConfigurationManager
 from ..core.enumerator import DynamicProgrammingSearch, EnumerationResult
-from ..core.problem import (
-    ResourceAllocation,
-    UNLIMITED_DEGRADATION,
-    VirtualizationDesignProblem,
-)
+from ..core.problem import ResourceAllocation, VirtualizationDesignProblem
 from ..core.refinement import RefinementResult
 from ..exceptions import ConfigurationError
 from ..monitoring.metrics import improvement_over_default, relative_improvement
 from ..telemetry.instruments import SOLVE_LATENCY
 from ..telemetry.trace import get_tracer
-from .cache import CachedCostFunction, CostCache, _Row
+from .cache import CachedCostFunction, CostCache
 from .report import (
     CostCallStats,
     RecommendationReport,
@@ -124,19 +119,22 @@ class Advisor:
         cost_function: a cost-function instance (bound to one problem) or a
             name registered in :data:`~repro.api.strategies.COST_FUNCTIONS`
             (``"what-if"``, ``"actual"``).  Named cost functions are built
-            per call and share one cost cache across problems and phases.
+            per call over the advisor's one cost cache, shared across
+            problems and phases.
         refinement: a name registered in
             :data:`~repro.api.strategies.REFINEMENTS` (``"basic"``,
             ``"generalized"``), or ``None`` to dispatch automatically on the
             number of controlled resources (the paper's rule).
         delta / min_share / max_iterations: enumeration knobs, forwarded to
             named enumerator factories.
-        shared_caches: optional externally-owned cache pool (strategy name →
-            :class:`~repro.api.cache.CostCache`).  Several advisors given
-            the *same* pool answer each other's what-if questions — the
-            serving tier builds one short-lived advisor per request (the
+        cache: optional externally-owned
+            :class:`~repro.api.cache.CostCache`.  Several advisors given the
+            *same* cache answer each other's what-if questions — the serving
+            tier builds one short-lived advisor per request (the
             factory-per-worker ownership pattern) yet keeps one process-wide
-            cache.  Omitted, the advisor owns a private pool, as before.
+            cache.  Omitted, the advisor owns a private one.  Every named
+            cost function rides it: each keeps its values in rows of its own
+            ``cache_namespace``.
     """
 
     def __init__(
@@ -147,7 +145,7 @@ class Advisor:
         delta: float = 0.05,
         min_share: float = 0.05,
         max_iterations: int = 500,
-        shared_caches: Optional[Dict[str, CostCache]] = None,
+        cache: Optional[CostCache] = None,
     ) -> None:
         self.delta = delta
         self.min_share = min_share
@@ -155,18 +153,8 @@ class Advisor:
         self._cost_function_spec = cost_function
         self.enumerator = enumerator  # property: resolves names, tracks provenance
         self._refinement_spec = refinement
-        #: One shared cache per named cost-function strategy.  When the
-        #: pool is caller-supplied it may be concurrently extended by other
-        #: advisors; insertion happens via ``setdefault`` (atomic under the
-        #: GIL — the service layer additionally serializes it).
-        self._shared_caches: Dict[str, CostCache] = (
-            shared_caches if shared_caches is not None else {}
-        )
-        #: Guards the cache pool.  Concurrent per-machine solves (the thread
-        #: solver backend) share one advisor; without the lock two threads
-        #: could race the check-then-create and each start a cache for one
-        #: strategy, splitting its entries.  Never held during an evaluation.
-        self._caches_lock = threading.Lock()
+        #: The cost cache behind every named cost function (thread-safe).
+        self.cache = cache if cache is not None else CostCache()
 
     # ------------------------------------------------------------------
     # Strategy resolution
@@ -229,17 +217,13 @@ class Advisor:
         self,
         problem: VirtualizationDesignProblem,
         override: Optional[CostFunctionSpec] = None,
-        rows: Optional[List[Optional[_Row]]] = None,
     ) -> CachedCostFunction:
         """A fresh cached cost function for ``problem``.
 
-        Named strategies are built anew on every call over the strategy's
-        shared :class:`~repro.api.cache.CostCache`, which keys on the
-        tenants' workload and calibration objects, so a repeated
-        ``recommend`` evaluates nothing new.  An instance spec is
-        caller-owned and gets a private cache.  ``rows`` is the caller's
-        list of the tenants' cache rows under the same strategy (see
-        :class:`~repro.api.cache.CachedCostFunction`).
+        Named strategies are built anew on every call over the advisor's
+        :attr:`cache`, which keys on the tenants' workload and calibration
+        objects, so a repeated ``recommend`` evaluates nothing new.  An
+        instance spec is caller-owned and gets a private cache.
         """
         spec = override if override is not None else self._cost_function_spec
         if not isinstance(spec, str):
@@ -254,11 +238,9 @@ class Advisor:
                 raise ConfigurationError(
                     "the supplied cost function is bound to a different problem"
                 )
-            return CachedCostFunction(problem, spec, CostCache(), rows)
+            return CachedCostFunction(problem, spec, CostCache())
         inner = COST_FUNCTIONS.create(spec, problem=problem)
-        with self._caches_lock:
-            cache = self._shared_caches.setdefault(spec, CostCache())
-        return CachedCostFunction(problem, inner, cache, rows)
+        return CachedCostFunction(problem, inner, self.cache)
 
     def _grid_enumerator(self) -> EnumerationStrategy:
         """An enumerator with the delta/min_share grid attributes.
@@ -278,24 +260,19 @@ class Advisor:
         )
 
     def clear_caches(self) -> None:
-        """Drop every value in the shared cost caches."""
-        with self._caches_lock:
-            for cache in self._shared_caches.values():
-                cache.clear()
+        """Drop every value in the cost cache."""
+        self.cache.clear()
 
     def cache_stats(self) -> CostCallStats:
-        """Aggregate traffic of the shared cost caches.
+        """Traffic of the cost cache.
 
-        Every named cost-function strategy routes through one shared
-        :class:`~repro.api.cache.CostCache`, and each miss is exactly one
-        underlying evaluation, so ``evaluations == cache_misses`` here.
-        Long-running drivers (trace replay, fleets) difference two
-        snapshots to report what one run actually evaluated.
+        Every named cost-function strategy routes through :attr:`cache`,
+        and each miss is exactly one underlying evaluation, so
+        ``evaluations == cache_misses`` here.  Long-running drivers (trace
+        replay, fleets) difference two snapshots to report what one run
+        actually evaluated.
         """
-        with self._caches_lock:
-            caches = list(self._shared_caches.values())
-        hits = sum(cache.hits for cache in caches)
-        misses = sum(cache.misses for cache in caches)
+        hits, misses = self.cache.hits, self.cache.misses
         return CostCallStats(evaluations=misses, cache_hits=hits, cache_misses=misses)
 
     # ------------------------------------------------------------------
@@ -317,22 +294,14 @@ class Advisor:
         search = self._search(problem, costs, cost_function, enumerator)
         return self._report(search, costs)
 
-    def search(
-        self,
-        problem: VirtualizationDesignProblem,
-        rows: Optional[List[Optional[_Row]]] = None,
-    ) -> Search:
+    def search(self, problem: VirtualizationDesignProblem) -> Search:
         """Run the enumerator's search over ``problem``, assembling no report.
 
         The first half of :meth:`recommend`: the allocations, their costs
         and the search's cost-call statistics, from which :meth:`report`
         assembles the report the whole :meth:`recommend` would return.
-        ``rows`` is the caller's list of the tenants' rows in the advisor's
-        cost cache, ``None`` where not known yet; the search fills in the
-        ones it resolves, so a caller meeting the same tenants in many
-        problems (a fleet run) resolves each tenant's row once.
         """
-        return self._search(problem, self.cost_function(problem, rows=rows))
+        return self._search(problem, self.cost_function(problem))
 
     def report(self, search: Search) -> RecommendationReport:
         """The report of a :meth:`search`: what :meth:`recommend` returns.
@@ -516,8 +485,8 @@ class Advisor:
         """Create a dynamic configuration manager for a (CPU-only) problem.
 
         The manager's what-if estimates and its observed "actual" costs are
-        served through the advisor's shared cost caches, so replaying the
-        same sequence of period workloads twice — e.g. a repeated
+        served through the advisor's cost cache, so replaying the same
+        sequence of period workloads twice — e.g. a repeated
         :class:`~repro.traces.replay.TraceReplayer` run — performs zero new
         cost-estimator evaluations the second time.
         """

@@ -163,23 +163,6 @@ class ProblemBuilder:
             self._fixed_memory_fraction = self._fixed_memory_mb / machine.memory_mb
         return self
 
-    def with_calibration(
-        self, settings: Optional[CalibrationSettings] = None, **kwargs
-    ) -> "ProblemBuilder":
-        """Use specific calibration settings (or build them from kwargs)."""
-        if settings is not None and kwargs:
-            raise ConfigurationError(
-                "pass either a CalibrationSettings instance or keyword "
-                "arguments, not both"
-            )
-        if self._calibrations:
-            raise ConfigurationError(
-                "cannot change calibration settings after engines have been "
-                "calibrated"
-            )
-        self.calibration_settings = settings or CalibrationSettings(**kwargs)
-        return self
-
     def control(self, *resources: str) -> "ProblemBuilder":
         """Choose which resources the advisor allocates (``"cpu"``, ``"memory"``)."""
         if not resources:

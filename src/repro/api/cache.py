@@ -9,8 +9,9 @@ calibrated query optimizer, which is the dominant cost of a recommendation
 where an answer is remembered.
 
 :class:`CostCache` is a cache that can be shared across cost-function
-instances, problems, and phases.  It keeps one row of costs per
-tenant, keyed on the *identity* of the tenant's ``(workload,
+instances, problems, and phases; an :class:`~repro.api.Advisor` keeps one
+behind all of its cost functions.  It keeps one row of costs per tenant
+and cost namespace, keyed on the *identity* of the tenant's ``(workload,
 calibration)`` pair, and a row maps the allocation vector to its cost,
 because the cost of a tenant depends on nothing else: degradation limits
 and gain factors are applied outside the raw cost, and the physical
@@ -118,13 +119,18 @@ class CostCache:
     def row(self, namespace: str, tenant: ConsolidatedWorkload) -> _Row:
         """``tenant``'s current row of cached costs (created if missing).
 
-        Callers read the row without the lock (see the class docstring),
-        count their lookups with :meth:`count`, and grow it only through
-        :meth:`store`.
+        An existing row is one dictionary read, without the lock: rows are
+        created under it and never emptied, and the pins keep the ids in
+        the key naming the caller's objects.  Callers read the row without
+        the lock too (see the class docstring), count their lookups with
+        :meth:`count`, and grow it only through :meth:`store`.
         """
         key = (namespace, id(tenant.workload), id(tenant.calibration))
-        with self._lock:
-            return self._current_row(key, tenant)
+        row = self._rows.get(key)
+        if row is None:
+            with self._lock:
+                row = self._current_row(key, tenant)
+        return row
 
     def _current_row(self, key: _RowKey, tenant: ConsolidatedWorkload) -> _Row:
         """The row cached under ``key``, created and pinned if missing (lock held)."""
@@ -240,14 +246,9 @@ class CachedCostFunction(CostFunction):
     Cache rows are namespaced by the wrapped function's ``cache_namespace``
     (its family plus cost-relevant parameters), so one cache shared across
     differently-configured cost functions stays sound.  Each tenant's row
-    is resolved on its first lookup and kept for the life of this view
-    (one view serves one problem), so a hit is one lookup in that row.  A
-    caller that meets the same tenants in many problems (a fleet run
-    probing tenant sets) passes ``rows``, its list of the problem's
-    tenants' rows in tenant order with ``None`` where one is not known
-    yet: the view fills a missing row in on first use, and swaps in the
-    current one if a generational reset dropped it, so the caller resolves
-    each tenant's row once.
+    is resolved on its first lookup (:meth:`CostCache.row`) and kept for
+    the life of this view (one view serves one problem), so a hit is one
+    lookup in that row.
 
     :meth:`cost`, :meth:`cost_many` and :meth:`cost_shares` (the greedy
     enumerator's ``(cpu, memory)`` share pairs) are one keyed lookup,
@@ -260,7 +261,6 @@ class CachedCostFunction(CostFunction):
         problem: VirtualizationDesignProblem,
         inner: CostFunction,
         cache: Optional[CostCache] = None,
-        rows: Optional[List[Optional[_Row]]] = None,
     ) -> None:
         # Deliberately no super().__init__(): ``call_count`` is a read-only
         # mirror of the wrapped function's counter here, not an attribute.
@@ -268,21 +268,8 @@ class CachedCostFunction(CostFunction):
         self.inner = inner
         self.cache = cache if cache is not None else CostCache()
         self._namespace = getattr(inner, "cache_namespace", type(inner).__name__)
-        if rows is None:
-            rows = [None] * problem.n_workloads
-        elif len(rows) != problem.n_workloads:
-            raise ValueError(
-                f"expected {problem.n_workloads} cache rows, got {len(rows)}"
-            )
         #: Each tenant's cache row by tenant index, ``None`` until first use.
-        self._rows = rows
-        batch = getattr(inner, "cost_many", None)
-        if callable(batch):
-            self._evaluate_many = batch
-        else:
-            self._evaluate_many = lambda index, allocations: [
-                inner.cost(index, allocation) for allocation in allocations
-            ]
+        self._rows: List[Optional[_Row]] = [None] * problem.n_workloads
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -335,7 +322,7 @@ class CachedCostFunction(CostFunction):
 
         Each raw pair is keyed by its canonical pair (:meth:`CostCache.keys`
         rounds only pairs it has not seen).  Only a miss builds an
-        allocation, from its first pair in the batch, and the wrapped
+        allocation, at the canonical pair its key names, and the wrapped
         function evaluates the batch's distinct misses at once.
         """
         rows = self._rows
@@ -351,15 +338,12 @@ class CachedCostFunction(CostFunction):
         if None not in values:
             self.cache.count(len(values), 0)
             return values
-        missing: Dict[_Shares, _Shares] = {}
-        for key, pair, value in zip(keys, shares, values):
-            if value is None:
-                missing.setdefault(key, pair)
+        missing = list(
+            dict.fromkeys(key for key, value in zip(keys, values) if value is None)
+        )
         self.cache.count(len(keys) - len(missing), len(missing))
-        allocations = [
-            ResourceAllocation(cpu, memory) for cpu, memory in missing.values()
-        ]
-        fresh = dict(zip(missing, self._evaluate_many(tenant_index, allocations)))
+        allocations = [ResourceAllocation(cpu, memory) for cpu, memory in missing]
+        fresh = dict(zip(missing, self.inner.cost_many(tenant_index, allocations)))
         rows[tenant_index] = self.cache.store(
             self._namespace, self.problem.tenant(tenant_index), row, fresh
         )

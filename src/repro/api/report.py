@@ -216,9 +216,8 @@ class CostCallStats:
     def __radd__(self, other: Any) -> "CostCallStats":
         """Support ``sum(stats_list)``, whose implicit start value is ``0``.
 
-        The service layer aggregates per-cache statistics with a plain
-        :func:`sum`; anything other than that zero start (or another stats
-        object, handled by ``__add__``) is refused as usual.
+        Anything other than that zero start (or another stats object,
+        handled by ``__add__``) is refused as usual.
         """
         if other == 0:
             return self

@@ -14,7 +14,7 @@ grid search: a dynamic program that finds the brute-force optimum.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..core.cost_estimator import (
     ActualCostFunction,
@@ -61,15 +61,25 @@ class EnumerationStrategy(Protocol):
 
 @runtime_checkable
 class CostFunctionLike(Protocol):
-    """``Cost(W_i, R_i)`` in seconds, plus the derived totals.
+    """``Cost(W_i, R_i)`` in seconds, its batch forms, and the derived totals.
 
     Satisfied both by :class:`repro.core.cost_estimator.CostFunction`
-    subclasses and by :class:`repro.api.cache.CachedCostFunction`.
+    subclasses and by :class:`repro.api.cache.CachedCostFunction`.  The grid
+    searches price a tenant's table with one :meth:`cost_many` call and the
+    greedy its moves with :meth:`cost_shares`.
     """
 
     problem: VirtualizationDesignProblem
 
     def cost(self, tenant_index: int, allocation: ResourceAllocation) -> float: ...
+
+    def cost_many(
+        self, tenant_index: int, allocations: Sequence[ResourceAllocation]
+    ) -> List[float]: ...
+
+    def cost_shares(
+        self, tenant_index: int, shares: Sequence[Tuple[float, float]]
+    ) -> List[float]: ...
 
     def weighted_cost(
         self, tenant_index: int, allocation: ResourceAllocation

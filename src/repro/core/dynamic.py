@@ -30,7 +30,6 @@ from ..exceptions import ConfigurationError, MonitoringError
 from ..monitoring.monitor import (
     CHANGE_MAJOR,
     CHANGE_MINOR,
-    CHANGE_NONE,
     DEFAULT_CHANGE_THRESHOLD,
     DEFAULT_ERROR_THRESHOLD,
     PeriodObservation,
@@ -67,11 +66,6 @@ class PeriodDecision:
     observed_actual_costs: Tuple[float, ...]
     change_classes: Tuple[str, ...]
     model_actions: Tuple[str, ...]
-
-    @property
-    def total_actual_cost(self) -> float:
-        """Total observed cost of all workloads in the period."""
-        return sum(self.observed_actual_costs)
 
 
 class DynamicConfigurationManager:

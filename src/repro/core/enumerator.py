@@ -97,17 +97,6 @@ class EnumerationResult:
         return self.allocations[tenant_index]
 
 
-def _evaluate_costs(
-    cost_function, tenant_index: int, allocations: Sequence[ResourceAllocation]
-) -> List[float]:
-    """Batch-evaluate costs, falling back to a loop for cost functions that
-    do not implement the :meth:`CostFunction.cost_many` batch interface."""
-    batch = getattr(cost_function, "cost_many", None)
-    if callable(batch):
-        return list(batch(tenant_index, allocations))
-    return [cost_function.cost(tenant_index, allocation) for allocation in allocations]
-
-
 # ----------------------------------------------------------------------
 # Shared grid helpers (exhaustive and DP search)
 # ----------------------------------------------------------------------
@@ -248,7 +237,7 @@ def _build_cost_tables(
             for cpu in cpu_shares
             for memory in mem_shares
         ]
-        values = _evaluate_costs(cost_function, index, allocations)
+        values = cost_function.cost_many(index, allocations)
         table = np.asarray(values, dtype=float).reshape(
             len(cpu_shares), len(mem_shares)
         )

@@ -69,13 +69,6 @@ class RefinementResult:
         """Number of refinement iterations performed."""
         return len(self.iterations)
 
-    @property
-    def final_actual_costs(self) -> Tuple[float, ...]:
-        """Actual per-workload costs observed in the last iteration."""
-        if not self.iterations:
-            return ()
-        return self.iterations[-1].actual_costs
-
 
 def _allocations_equal(
     first: Sequence[ResourceAllocation], second: Sequence[ResourceAllocation]

@@ -10,9 +10,8 @@ measuring the (simulated) actual performance of each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..core.problem import ResourceAllocation, VirtualizationDesignProblem
 from ..workloads.generator import (
     random_mixed_workloads,
     random_multi_resource_workloads,
@@ -41,13 +40,6 @@ class RandomWorkloadResult:
     trajectories: Tuple[AllocationTrajectory, ...]
     advisor_improvements: Tuple[float, ...]
     optimal_improvements: Tuple[float, ...]
-
-    def trajectory_of(self, workload: str) -> AllocationTrajectory:
-        """Allocation trajectory of a named workload."""
-        for trajectory in self.trajectories:
-            if trajectory.workload == workload:
-                return trajectory
-        raise KeyError(workload)
 
 
 def _allocation_experiment(

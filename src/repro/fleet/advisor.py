@@ -40,7 +40,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.advisor import Advisor
 from ..api.builder import ProblemBuilder
-from ..api.cache import _Row
 from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
 from ..core.problem import ConsolidatedWorkload, VirtualizationDesignProblem
@@ -95,12 +94,11 @@ class _Shape:
 
     ``builder`` is the shape's calibrated builder and ``key`` the part of
     every solve-memo key the shape fixes (:meth:`FleetAdvisor._shape_key`).
-    ``tenants[t]`` is fleet tenant ``t`` materialized by the builder and
-    ``rows[t]`` that workload's row in the inner advisor's cost cache; both
-    stay ``None`` until a solve first needs them.
+    ``tenants[t]`` is fleet tenant ``t`` materialized by the builder, or
+    ``None`` until a solve first needs it.
     """
 
-    __slots__ = ("builder", "key", "tenants", "rows")
+    __slots__ = ("builder", "key", "tenants")
 
     def __init__(
         self, builder: ProblemBuilder, key: Tuple[Any, ...], n_tenants: int
@@ -108,7 +106,6 @@ class _Shape:
         self.builder = builder
         self.key = key
         self.tenants: List[Optional[ConsolidatedWorkload]] = [None] * n_tenants
-        self.rows: List[Optional[_Row]] = [None] * n_tenants
 
 
 class SolveContext:
@@ -117,18 +114,15 @@ class SolveContext:
     Within one fleet problem the calibration overrides, resources and
     memory knob are fixed, so a machine's hardware shape fixes its builder
     and the shape part of its solve-memo keys, and a tenant's spec fixes
-    its consolidated workload on that shape and the workload's cost-cache
-    row.  The context keeps each of them from its first use, so a run's
-    fresh per-machine searches only build their design problems.  A
-    :class:`_FleetSolver` holds one per run; a call without one gets a
-    context of its own.
+    its consolidated workload on that shape.  The context keeps each of
+    them from its first use, so a run's fresh per-machine searches only
+    build their design problems.  A :class:`_FleetSolver` holds one per
+    run; a call without one gets a context of its own.
 
     Under the thread backend, concurrent solves may fill one slot at once.
     That is safe only because every racer writes the same object: the
-    fleet advisor keeps one builder per shape, a builder hands out one
-    consolidated workload per spec value, and the cost cache one row per
-    workload (across a generational reset the old and the new row both
-    answer correctly, and the next store swaps in the new one).
+    fleet advisor keeps one builder per shape, and a builder hands out one
+    consolidated workload per spec value.
     """
 
     def __init__(self, fleet_advisor: "FleetAdvisor", problem: FleetProblem) -> None:
@@ -191,8 +185,8 @@ class _FleetSolver:
     and :attr:`_priced` keeps the cost of every set already asked about;
     :attr:`_fits` likewise keeps every capacity check's answer.  The run's
     :class:`SolveContext` resolves each hardware shape's builder and key
-    part, and each tenant's workload and cost-cache row, once, so a fresh
-    search costs only the greedy's arithmetic over cached costs.
+    part, and each tenant's workload, once, so a fresh search costs only
+    the greedy's arithmetic over cached costs.
     """
 
     def __init__(
@@ -555,14 +549,11 @@ class FleetAdvisor:
         if cached is not None:
             return cached, _MEMO_HIT_STATS
         design = context.design(shape, ordered)
-        rows = [shape.rows[index] for index in ordered]
         try:
-            search = self.advisor.search(design, rows)
+            search = self.advisor.search(design)
         except OptimizationError as error:
             self.solve_memo.put(key, Infeasible(str(error)))
             raise
-        for index, row in zip(ordered, rows):
-            shape.rows[index] = row
         weighted = sum(
             tenant.gain_factor * cost
             for tenant, cost in zip(design.tenants, search.result.per_workload_costs)
@@ -586,7 +577,7 @@ class FleetAdvisor:
         return report, report.cost_stats - solved.search.cost_stats
 
     def clear_caches(self) -> None:
-        """Drop the calibrated builders, the solve-memo, and the cost caches."""
+        """Drop the calibrated builders, the solve-memo, and the cost cache."""
         with self._builders_lock:
             self._builders.clear()
         self.solve_memo.clear()

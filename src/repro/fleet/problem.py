@@ -32,7 +32,7 @@ Everything here is plain data; solving happens in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 # FleetProblem accepts the same calibration overrides as Scenario, so the
@@ -427,10 +427,6 @@ class FleetProblem:
     def to_json(self, indent: Optional[int] = None) -> str:
         """The problem as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent)
-
-    def with_machines(self, machines: Sequence[MachineLike]) -> "FleetProblem":
-        """A copy of the problem over a different machine pool."""
-        return replace(self, machines=tuple(machines))
 
     def with_tenants(self, tenants: Sequence[TenantLike]) -> "FleetProblem":
         """A copy of the problem with a different tenant list."""

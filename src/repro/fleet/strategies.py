@@ -265,17 +265,17 @@ class GreedyCostPlacement:
 
     name = "greedy-cost"
 
-    def __init__(self, sort_by_gain: bool = True) -> None:
-        self.sort_by_gain = sort_by_gain
+    def __init__(self) -> None:
         #: Accounting for the most recent ``place()`` call, surfaced by the
         #: fleet advisor as the report's ``placement_provenance``.
         self.last_search: Optional[PlacementRunStats] = None
 
     def place(self, problem: FleetProblem, solver: PlacementSolver) -> Tuple[int, ...]:
         """Greedily commit each tenant to its cheapest feasible machine."""
-        order = list(range(problem.n_tenants))
-        if self.sort_by_gain:
-            order.sort(key=lambda index: (-problem.tenants[index].gain_factor, index))
+        order = sorted(
+            range(problem.n_tenants),
+            key=lambda index: (-problem.tenants[index].gain_factor, index),
+        )
         run_stats: Dict[str, Any] = {}
         started = time.perf_counter()
         try:
@@ -485,20 +485,13 @@ class LocalSearchPlacement:
 
     name = "greedy-cost+ls"
 
-    def __init__(
-        self,
-        max_rounds: int = 12,
-        sort_by_gain: bool = True,
-        base: Optional[PlacementStrategy] = None,
-    ) -> None:
+    def __init__(self, max_rounds: int = 12) -> None:
         if max_rounds < 0:
             raise ConfigurationError(
                 f"max_rounds must be >= 0, got {max_rounds}"
             )
         self.max_rounds = max_rounds
-        self.base = (
-            base if base is not None else GreedyCostPlacement(sort_by_gain=sort_by_gain)
-        )
+        self.base = GreedyCostPlacement()
         #: Accounting for the most recent ``place()`` call (construction
         #: and improvement probes combined).
         self.last_search: Optional[PlacementRunStats] = None
@@ -509,9 +502,7 @@ class LocalSearchPlacement:
         started = time.perf_counter()
         try:
             assignment = self.base.place(problem, solver)
-            base_search = getattr(self.base, "last_search", None)
-            if base_search is not None:
-                run_stats["probes"] = base_search.probes
+            run_stats["probes"] = self.base.last_search.probes
             return improve_assignment(
                 problem,
                 solver,
@@ -613,15 +604,10 @@ class ExhaustiveFleetPlacement:
 
 PLACEMENTS.register("round-robin", lambda **_ignored: RoundRobinPlacement())
 PLACEMENTS.register("first-fit", lambda **_ignored: FirstFitPlacement())
-PLACEMENTS.register(
-    "greedy-cost",
-    lambda sort_by_gain=True, **_ignored: GreedyCostPlacement(sort_by_gain=sort_by_gain),
-)
+PLACEMENTS.register("greedy-cost", lambda **_ignored: GreedyCostPlacement())
 PLACEMENTS.register(
     "greedy-cost+ls",
-    lambda max_rounds=12, sort_by_gain=True, **_ignored: LocalSearchPlacement(
-        max_rounds=max_rounds, sort_by_gain=sort_by_gain
-    ),
+    lambda max_rounds=12, **_ignored: LocalSearchPlacement(max_rounds=max_rounds),
 )
 PLACEMENTS.register(
     "exhaustive-fleet",

@@ -10,10 +10,10 @@ and concurrent solves overlap it.
 :class:`SimulatedRpcWhatIfEstimator` restores that property for
 benchmarks and demos.  It returns bit-identical values to the plain
 :class:`~repro.core.cost_estimator.WhatIfCostEstimator` (it shares the
-cache namespace, so the two interoperate in one shared cache) but sleeps
-``rpc_latency_seconds`` per *underlying* evaluation call — one round
-trip per batched ``cost_many`` request, matching a batched what-if API —
-releasing the GIL the way a socket read would.  On top of it, the thread
+cache namespace, so in one advisor's cache each answers for the other)
+but sleeps ``rpc_latency_seconds`` per *underlying* evaluation call — one
+round trip per batched ``cost_many`` request, matching a batched what-if
+API — releasing the GIL the way a socket read would.  On top of it, the thread
 backend shows genuine wall-clock speedup even on a single-core GIL
 interpreter, which is what ``benchmarks/test_fleet_parallel.py`` asserts.
 
@@ -55,8 +55,9 @@ class SimulatedRpcWhatIfEstimator(WhatIfCostEstimator):
     # Latency does not change the values, so sharing the parent's cache
     # namespace is sound — cached answers need no round trip, exactly as a
     # client-side result cache would behave in front of the real RPC.
-    # (Without this pin the shared-cache layer would namespace entries by
-    # the subclass name and the two estimators would stop interoperating.)
+    # (Without this pin the cache would namespace entries by the subclass
+    # name, and an advisor's "what-if" and "what-if-rpc" cost functions,
+    # which ride its one cache, would stop answering for each other.)
     cache_namespace = WhatIfCostEstimator.__name__
 
     def _cost(self, tenant_index: int, allocation: ResourceAllocation) -> float:

@@ -1,4 +1,4 @@
-"""The shared serving engine: one cache pool, per-request advisors.
+"""The shared serving engine: one cost cache, per-request advisors.
 
 :class:`AdvisorService` is what a long-running advisor deployment keeps
 between requests.  Its ownership rules follow the factory-per-worker
@@ -7,16 +7,16 @@ another's): a request never receives a shared :class:`~repro.api.Advisor`
 — it gets a fresh one from :meth:`AdvisorService.advisor` — while
 everything that is safe and *profitable* to share lives on the service:
 
-* ``caches`` — one process-wide pool of
-  :class:`~repro.api.cache.CostCache`\\ s (strategy name → cache), injected
-  into every per-request advisor via ``Advisor(shared_caches=...)``.
+* ``cache`` — one process-wide :class:`~repro.api.cache.CostCache`,
+  injected into every per-request advisor via ``Advisor(cache=...)``; the
+  cost functions' namespaces keep their values apart inside it.
 * pooled :class:`~repro.api.ProblemBuilder`\\ s, one per hardware profile
   (machine + calibration overrides).  The builder's by-value
   ``consolidated`` memo is what gives value-equal requests *identical*
   workload objects — the identity the cost cache keys on — so a repeated
   scenario is answered from the cache with zero new evaluations.
 * one long-lived, thread-safe :class:`~repro.fleet.FleetAdvisor` whose
-  inner advisor rides the same cache pool; fleet solves fan out on the
+  inner advisor rides the same cache; fleet solves fan out on the
   service's solver backend (``"serial"`` by default: on the in-process
   cost model it is the fastest backend, while ``"thread"`` overlaps
   RPC-shaped what-if latency — see ``docs/parallel.md``).
@@ -35,7 +35,8 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from dataclasses import replace
+from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
 from ..api import Advisor, ProblemBuilder, Scenario
 from ..api.cache import CostCache
@@ -59,35 +60,13 @@ _BUILDER_POOL_SIZE = 8
 #: Version of the ``/stats`` payload shape.  Bumped whenever a field is
 #: added, renamed, or removed, so clients can dispatch without sniffing
 #: keys; see ``docs/service.md`` for the per-version shapes.
-STATS_SCHEMA_VERSION = 3
+STATS_SCHEMA_VERSION = 4
 
 #: Keys accepted in a ``/replay`` envelope document.
 _REPLAY_KEYS = ("trace", "fleet", "policy")
 
 #: Keys accepted in a ``/fleet`` envelope document.
 _FLEET_KEYS = ("fleet", "placement", "local_search", "max_nodes", "max_seconds")
-
-
-class _SharedCachePool(Dict[str, CostCache]):
-    """A ``strategy name -> CostCache`` pool safe to extend concurrently.
-
-    Per-request advisors insert caches via ``dict.setdefault``; locking it
-    here makes the check-then-create explicit rather than leaning on the
-    GIL's atomicity, and gives the service a consistent snapshot for
-    statistics.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def setdefault(self, key: str, default: Optional[CostCache] = None) -> CostCache:
-        with self._lock:
-            return super().setdefault(key, default)
-
-    def snapshot(self) -> List[CostCache]:
-        with self._lock:
-            return list(self.values())
 
 
 ScenarioDocument = Union[Scenario, Mapping[str, Any], str, bytes]
@@ -129,14 +108,14 @@ class AdvisorService:
         jobs: Optional[int] = None,
         **advisor_options: Any,
     ) -> None:
-        self.caches = _SharedCachePool()
+        self.cache = CostCache()
         self.backend = resolve_backend(backend, jobs)
         self._advisor_options = dict(advisor_options)
         #: The one long-lived fleet advisor (thread-safe; its per-hardware
         #: builders are what let concurrent and repeated fleet requests
         #: share cache identity).
         self.fleet_advisor = FleetAdvisor(
-            advisor=Advisor(shared_caches=self.caches, **advisor_options),
+            advisor=Advisor(cache=self.cache, **advisor_options),
             backend=self.backend,
         )
         #: Calibrated builders per hardware profile, LRU-bounded.
@@ -151,14 +130,14 @@ class AdvisorService:
     # Factories (the per-request ownership boundary)
     # ------------------------------------------------------------------
     def advisor(self, **options: Any) -> Advisor:
-        """A fresh advisor for one request, over the shared cache pool.
+        """A fresh advisor for one request, over the shared cost cache.
 
         Requests never share an advisor object — its strategy state
         belongs to the request that created it — but all advisors answer
-        from (and feed) the same process-wide caches.
+        from (and feed) the same process-wide cache.
         """
         merged = {**self._advisor_options, **options}
-        return Advisor(shared_caches=self.caches, **merged)
+        return Advisor(cache=self.cache, **merged)
 
     def builder(
         self,
@@ -289,7 +268,7 @@ class AdvisorService:
         Single-machine when ``fleet`` is omitted (against the service's
         default-profile pooled builder), fleet-scale otherwise (through
         the service's long-lived fleet advisor, so re-placement solves ride
-        the shared caches and fan out on the service backend).
+        the shared cache and fan out on the service backend).
         """
         parsed = _coerce(trace, WorkloadTrace, "WorkloadTrace")
         with self._serving("replay"):
@@ -355,29 +334,16 @@ class AdvisorService:
                 self._in_flight -= 1
 
     def cache_stats(self) -> CostCallStats:
-        """Aggregate traffic of the process-wide cost-cache pool.
+        """Traffic of the process-wide cost cache.
 
-        Per-cache statistics are combined with a plain :func:`sum`
-        (``CostCallStats.__radd__`` absorbs the implicit ``0`` start); the
-        fleet advisor's solve-memo hits ride along as
+        The fleet advisor's solve-memo hits ride along as
         ``placement_solve_hits``, so the ``/stats`` payload reports whole
         skipped searches next to skipped evaluations.
         """
-        per_cache = [
-            CostCallStats(
-                evaluations=cache.misses,
-                cache_hits=cache.hits,
-                cache_misses=cache.misses,
-            )
-            for cache in self.caches.snapshot()
-        ]
-        memo_hits = CostCallStats(
-            evaluations=0,
-            cache_hits=0,
-            cache_misses=0,
+        return replace(
+            self.fleet_advisor.advisor.cache_stats(),
             placement_solve_hits=self.fleet_advisor.solve_memo.hits,
         )
-        return sum(per_cache, memo_hits)
 
     def _latency_summary(self) -> Dict[str, Dict[str, Optional[float]]]:
         """Per-endpoint service-latency SLIs from the request histogram.
@@ -415,7 +381,7 @@ class AdvisorService:
             "jobs": self.backend.jobs,
             "in_flight": in_flight,
             "requests": requests,
-            "cost_cache": {"caches": len(self.caches.snapshot()), **cost.to_dict()},
+            "cost_cache": cost.to_dict(),
             "placement_solve_memo": self.fleet_advisor.solve_memo.stats(),
             "latency_summary": self._latency_summary(),
             "telemetry": {

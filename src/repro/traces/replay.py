@@ -279,8 +279,8 @@ class TraceReplayer:
 
     Args:
         trace: the workload trace to replay.
-        advisor: the :class:`~repro.api.Advisor` whose enumerator, shared
-            cost caches, and dynamic-manager factory drive the replay
+        advisor: the :class:`~repro.api.Advisor` whose enumerator, cost
+            cache, and dynamic-manager factory drive the replay
             (a default advisor is built when omitted).
         builder: the :class:`~repro.api.ProblemBuilder` that materializes
             the trace's tenant specs (databases, engines, calibrations);

@@ -94,11 +94,6 @@ class Workload:
         """Total number of statement executions in the interval."""
         return sum(stmt.frequency for stmt in self.statements)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether the workload contains no statements."""
-        return not self.statements or self.statement_count == 0
-
     def statement_pairs(self) -> List[Tuple[QuerySpec, float]]:
         """Statements as ``(query, frequency)`` pairs (the engines' format)."""
         return [(stmt.query, stmt.frequency) for stmt in self.statements]

@@ -424,6 +424,55 @@ class TestCostCache:
         assert quiet.evaluations == 1
         assert without_noise <= with_noise
 
+    def test_one_advisors_cost_functions_share_its_cache_in_their_own_rows(
+        self, scenario_problem
+    ):
+        from repro.core.cost_estimator import ActualCostFunction
+
+        advisor = Advisor()
+        estimates = advisor.cost_function(scenario_problem)
+        actuals = advisor.cost_function(scenario_problem, "actual")
+        assert estimates.cache is advisor.cache
+        assert actuals.cache is advisor.cache
+        allocation = scenario_problem.default_allocation()[0]
+        estimated = estimates.cost(0, allocation)
+        observed = actuals.cost(0, allocation)
+        # Neither is served the other's value for the same tenant and pair.
+        assert estimated == WhatIfCostEstimator(scenario_problem).cost(0, allocation)
+        assert observed == ActualCostFunction(scenario_problem).cost(0, allocation)
+        assert estimated != observed
+        assert (advisor.cache.size, advisor.cache.misses) == (2, 2)
+        again = advisor.cost_function(scenario_problem, "actual")
+        assert again.cost(0, allocation) == observed
+        assert advisor.cache_stats().cache_hits == 1
+
+    def test_existing_row_is_read_without_the_lock(self):
+        import threading
+        from types import SimpleNamespace
+
+        class CountingLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.acquired = 0
+
+            def __enter__(self):
+                self.acquired += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self.lock.__exit__(*exc_info)
+
+        cache = CostCache()
+        lock = cache._lock = CountingLock()
+        tenant = SimpleNamespace(workload=object(), calibration=object())
+        row = cache.row("what-if", tenant)
+        assert lock.acquired == 1  # created (and pinned) under the lock
+        for _ in range(3):
+            assert cache.row("what-if", tenant) is row
+        assert lock.acquired == 1
+        assert cache.row("actual", tenant) is not row  # another namespace's row
+        assert lock.acquired == 2
+
     def test_cache_keys_on_workload_and_calibration_identity(self, scenario_problem):
         # Rebuilding a problem around the same workload/calibration objects
         # (as the experiment sweeps do) must reuse the cached estimates.
@@ -675,10 +724,10 @@ class TestCostCache:
         # Companion regression test to the CostCache one, for what the
         # cache's identity rests on: ProblemBuilder.consolidated's by-value
         # memo hands out the workload objects the cache keys on, and
-        # Advisor.cost_function's cache pool the one cache per strategy.  A
-        # race that creates two objects for one key silently splits the
-        # cache.  Hammer both from many threads and assert each key
-        # resolved to one object.
+        # Advisor.cost_function the advisor's one cache.  A race that
+        # creates two objects for one key silently splits the cache.
+        # Hammer both from many threads and assert each key resolved to
+        # one object.
         import threading
 
         from repro.api.builder import ProblemBuilder

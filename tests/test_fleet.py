@@ -224,9 +224,7 @@ class TestPlacementStrategies:
             fleet_advisor.recommend(small_fleet(), placement="no-such-strategy")
 
     def test_placement_accepts_instances(self, fleet_advisor):
-        report = fleet_advisor.recommend(
-            small_fleet(), placement=GreedyCostPlacement(sort_by_gain=False)
-        )
+        report = fleet_advisor.recommend(small_fleet(), placement=GreedyCostPlacement())
         assert report.strategy == "greedy-cost"
 
     def test_round_robin_spreads_tenants(self, fleet_advisor):

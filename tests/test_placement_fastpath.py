@@ -398,18 +398,19 @@ class TestPerRunCostTable:
     @pytest.mark.parametrize("placement", ["bnb-fleet", "greedy-cost+ls"])
     def test_cold_run_resolves_each_tenant_once_per_shape(self, placement, monkeypatch):
         # A run materializes each tenant once per hardware shape and
-        # resolves its cost-cache row once more per shape; only the
-        # committed machines' report assembly resolves rows again.
-        calls = {"consolidated": 0, "row": 0}
-        consolidated, row = ProblemBuilder.consolidated, CostCache.row
+        # creates its cost-cache row once per shape, under the cache's
+        # lock; every later probe and the committed machines' report
+        # assembly read the existing rows without it.
+        calls = {"consolidated": 0, "created": 0}
+        consolidated, current_row = ProblemBuilder.consolidated, CostCache._current_row
 
         def counting_consolidated(builder, spec):
             calls["consolidated"] += 1
             return consolidated(builder, spec)
 
-        def counting_row(cache, namespace, tenant):
-            calls["row"] += 1
-            return row(cache, namespace, tenant)
+        def counting_current_row(cache, key, tenant):
+            calls["created"] += key not in cache._rows
+            return current_row(cache, key, tenant)
 
         priced = []
         machine_cost = _FleetSolver._machine_cost
@@ -419,7 +420,7 @@ class TestPerRunCostTable:
             return machine_cost(solver, machine_index, tenant_indices)
 
         monkeypatch.setattr(ProblemBuilder, "consolidated", counting_consolidated)
-        monkeypatch.setattr(CostCache, "row", counting_row)
+        monkeypatch.setattr(CostCache, "_current_row", counting_current_row)
         monkeypatch.setattr(_FleetSolver, "_machine_cost", recording_machine_cost)
         advisor = FleetAdvisor(delta=0.25)
         problem = small_fleet(n_tenants=6, n_machines=3)
@@ -427,7 +428,7 @@ class TestPerRunCostTable:
         assert shapes == 1
         advisor.recommend(problem, placement=placement)
         assert calls["consolidated"] <= shapes * problem.n_tenants
-        assert calls["row"] <= (shapes + 1) * problem.n_tenants
+        assert calls["created"] == shapes * problem.n_tenants
         # Every priced set is in the solve-memo under the key a later run
         # asks for, so a warm repeat stays pure memo hits.
         assert priced

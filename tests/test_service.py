@@ -1,7 +1,7 @@
 """Tests for the serving tier (:mod:`repro.service`).
 
 Covers the shared :class:`~repro.service.AdvisorService` engine
-(per-request advisors over one process-wide cache pool; repeats answered
+(per-request advisors over one process-wide cost cache; repeats answered
 without new evaluations), its awaitable face, and the stdlib HTTP
 server — including the concurrent mixed-endpoint
 property: N parallel clients hitting one served advisor receive responses
@@ -145,7 +145,7 @@ class TestAdvisorService:
         repeat = service.recommend(dict(SCENARIO))  # value-equal document
         assert repeat.canonical_dict() == first.canonical_dict()
         # The repeat was answered entirely from the process-wide cache —
-        # the per-request advisor is fresh, the cache pool is not.
+        # the per-request advisor is fresh, the cache is not.
         assert repeat.cost_stats.evaluations == 0
         assert service.cache_stats().hit_rate > 0
 
@@ -168,8 +168,9 @@ class TestAdvisorService:
     def test_per_request_advisors_are_fresh_but_share_caches(self, service):
         first, second = service.advisor(), service.advisor()
         assert first is not second
-        assert first._shared_caches is service.caches
-        assert second._shared_caches is service.caches
+        assert first.cache is service.cache
+        assert second.cache is service.cache
+        assert service.fleet_advisor.advisor.cache is service.cache
 
     def test_fleet_matches_direct_call(self, service, direct_fleet):
         report = service.fleet(FLEET)
@@ -278,7 +279,8 @@ class TestAdvisorService:
         assert stats["in_flight"] == 0
         assert stats["requests"]["recommend"] == 1
         assert stats["requests"]["fleet"] == 1
-        assert stats["cost_cache"]["caches"] >= 1
+        assert stats["schema_version"] == 4
+        assert "caches" not in stats["cost_cache"]
         assert stats["cost_cache"]["hit_rate"] > 0
 
     def test_async_face_matches_sync(self, service, direct_recommend):
@@ -454,7 +456,9 @@ class TestHTTPServer:
         status, body = get(server, "/stats")
         assert status == 200
         assert body["requests"]["recommend"] >= 1
-        assert body["cost_cache"]["caches"] >= 1
+        assert body["schema_version"] == 4
+        assert "caches" not in body["cost_cache"]
+        assert body["cost_cache"]["cache_hits"] + body["cost_cache"]["cache_misses"] > 0
 
     def test_unknown_path_is_404(self, server):
         code, body = error_of(lambda: get(server, "/nope"))
